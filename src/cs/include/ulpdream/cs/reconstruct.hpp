@@ -34,6 +34,10 @@ class CsReconstructor {
 
   [[nodiscard]] const CsConfig& config() const noexcept { return cfg_; }
   [[nodiscard]] const SparsePhi& phi() const noexcept { return phi_; }
+  /// The (m x n) OMP dictionary A = Phi * Psi.
+  [[nodiscard]] const linalg::Matrix& dictionary() const noexcept {
+    return dictionary_;
+  }
 
   /// Reconstructs one block: y (length m, measurement domain) -> x-hat
   /// (length n, signal domain).

@@ -1,33 +1,16 @@
 #include "ulpdream/dist/fake_worker.hpp"
 
 #include <chrono>
-#include <filesystem>
-#include <fstream>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
 #include <vector>
 
+#include "lease_bytes.hpp"
 #include "ulpdream/campaign/session.hpp"
 #include "ulpdream/dist/protocol.hpp"
 
 namespace ulpdream::dist {
-
-namespace {
-
-std::vector<std::uint8_t> slurp(const std::string& path) {
-  std::ifstream is(path, std::ios::binary | std::ios::ate);
-  if (!is) throw std::runtime_error(path + ": cannot read lease store");
-  const std::streamsize size = is.tellg();
-  std::vector<std::uint8_t> bytes(static_cast<std::size_t>(size));
-  is.seekg(0);
-  if (!is.read(reinterpret_cast<char*>(bytes.data()), size)) {
-    throw std::runtime_error(path + ": short read of lease store");
-  }
-  return bytes;
-}
-
-}  // namespace
 
 FakeWorker::FakeWorker(campaign::CampaignSpec spec, Coordinator& coordinator,
                        Options options)
@@ -85,14 +68,9 @@ void FakeWorker::loop(util::Socket socket) {
       const campaign::ResultStore store =
           session.submit(spec_, std::move(submit)).take();
 
-      const std::string tmp =
-          (std::filesystem::temp_directory_path() /
-           ("ulpd_fake_" + options_.name + "_" +
-            std::to_string(grant.lease_id) + ".ulpdcol"))
-              .string();
-      store.save_columnar(tmp);
-      LeaseResult result{grant.lease_id, slurp(tmp)};
-      std::filesystem::remove(tmp);
+      LeaseResult result{
+          grant.lease_id,
+          lease_store_bytes(store, options_.name, grant.lease_id)};
       send(socket, result);
       if (!receive(socket, frame)) {
         throw util::SocketError(peer, "coordinator closed before ack");

@@ -1,6 +1,7 @@
 #include "ulpdream/dist/worker.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <filesystem>
 #include <fstream>
@@ -10,6 +11,7 @@
 #include <utility>
 #include <vector>
 
+#include "lease_bytes.hpp"
 #include "ulpdream/dist/protocol.hpp"
 #include "ulpdream/util/log.hpp"
 #include "ulpdream/util/telemetry.hpp"
@@ -19,25 +21,6 @@
 #endif
 
 namespace ulpdream::dist {
-
-namespace {
-
-/// Reads a whole file into a byte vector (the lease store ships as the
-/// exact columnar file bytes, so the coordinator can spool them
-/// verbatim and open them like any shard file).
-std::vector<std::uint8_t> slurp(const std::string& path) {
-  std::ifstream is(path, std::ios::binary | std::ios::ate);
-  if (!is) throw std::runtime_error(path + ": cannot read lease store");
-  const std::streamsize size = is.tellg();
-  std::vector<std::uint8_t> bytes(static_cast<std::size_t>(size));
-  is.seekg(0);
-  if (!is.read(reinterpret_cast<char*>(bytes.data()), size)) {
-    throw std::runtime_error(path + ": short read of lease store");
-  }
-  return bytes;
-}
-
-}  // namespace
 
 Worker::Worker(campaign::CampaignSpec spec, Options options)
     : spec_(spec.normalized()), options_(std::move(options)) {}
@@ -119,22 +102,8 @@ Worker::Report Worker::run_on(util::Socket socket) {
     }
     const campaign::ResultStore store = handle.take();
 
-    // Ship the lease back as exact columnar file bytes: save to a
-    // pid-unique temp file, slurp, remove. The coordinator spools the
-    // bytes verbatim and validates them as a shard file.
-#if defined(__unix__) || defined(__APPLE__)
-    const unsigned long pid = static_cast<unsigned long>(::getpid());
-#else
-    const unsigned long pid = 0;
-#endif
-    const std::string tmp =
-        (std::filesystem::temp_directory_path() /
-         ("ulpd_" + options_.name + "_" + std::to_string(grant.lease_id) +
-          "_" + std::to_string(pid) + ".ulpdcol"))
-            .string();
-    store.save_columnar(tmp);
-    LeaseResult result{grant.lease_id, slurp(tmp)};
-    std::filesystem::remove(tmp);
+    LeaseResult result{grant.lease_id,
+                       lease_store_bytes(store, options_.name, grant.lease_id)};
     send(socket, result);
     if (!receive(socket, frame)) {
       throw util::SocketError(peer, "coordinator closed before ack");
@@ -157,6 +126,35 @@ Worker::Report Worker::run_on(util::Socket socket) {
   send(socket, Metrics{os.str()});
   send(socket, Goodbye{});
   return report;
+}
+
+std::vector<std::uint8_t> lease_store_bytes(
+    const campaign::ResultStore& store, const std::string& worker_name,
+    std::uint64_t lease_id) {
+  static std::atomic<std::uint64_t> sequence{0};
+#if defined(__unix__) || defined(__APPLE__)
+  const unsigned long pid = static_cast<unsigned long>(::getpid());
+#else
+  const unsigned long pid = 0;
+#endif
+  const std::string path =
+      (std::filesystem::temp_directory_path() /
+       ("ulpd_" + worker_name + "_" + std::to_string(lease_id) + "_" +
+        std::to_string(pid) + "_" + std::to_string(sequence.fetch_add(1)) +
+        ".ulpdcol"))
+          .string();
+  store.save_columnar(path);
+  std::ifstream is(path, std::ios::binary | std::ios::ate);
+  if (!is) throw std::runtime_error(path + ": cannot read lease store");
+  const std::streamsize size = is.tellg();
+  std::vector<std::uint8_t> bytes(static_cast<std::size_t>(size));
+  is.seekg(0);
+  const bool read = static_cast<bool>(
+      is.read(reinterpret_cast<char*>(bytes.data()), size));
+  is.close();
+  std::filesystem::remove(path);
+  if (!read) throw std::runtime_error(path + ": short read of lease store");
+  return bytes;
 }
 
 }  // namespace ulpdream::dist

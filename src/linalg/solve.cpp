@@ -5,21 +5,44 @@
 
 namespace ulpdream::linalg {
 
+bool cholesky_append_row(double* l, std::size_t stride, std::size_t k) {
+  double* row = l + k * stride;
+  for (std::size_t j = 0; j < k; ++j) {
+    const double* prev = l + j * stride;
+    double v = row[j];
+    for (std::size_t q = 0; q < j; ++q) v -= row[q] * prev[q];
+    row[j] = v / prev[j];
+  }
+  double diag = row[k];
+  for (std::size_t q = 0; q < k; ++q) diag -= row[q] * row[q];
+  if (diag <= 0.0) return false;
+  row[k] = std::sqrt(diag);
+  return true;
+}
+
+double forward_substitute_row(const double* l, std::size_t stride,
+                              std::size_t k, const double* z, double b) {
+  const double* row = l + k * stride;
+  double acc = b;
+  for (std::size_t q = 0; q < k; ++q) acc -= row[q] * z[q];
+  return acc / row[k];
+}
+
+void back_substitute(const double* l, std::size_t stride, std::size_t n,
+                     const double* z, double* x) {
+  for (std::size_t ii = n; ii-- > 0;) {
+    double acc = z[ii];
+    for (std::size_t k = ii + 1; k < n; ++k) acc -= l[k * stride + ii] * x[k];
+    x[ii] = acc / l[ii * stride + ii];
+  }
+}
+
 bool cholesky(Matrix& a) {
   const std::size_t n = a.rows();
   if (a.cols() != n) return false;
-  for (std::size_t j = 0; j < n; ++j) {
-    double diag = a.at(j, j);
-    for (std::size_t k = 0; k < j; ++k) diag -= a.at(j, k) * a.at(j, k);
-    if (diag <= 0.0) return false;
-    const double ljj = std::sqrt(diag);
-    a.at(j, j) = ljj;
-    for (std::size_t i = j + 1; i < n; ++i) {
-      double v = a.at(i, j);
-      for (std::size_t k = 0; k < j; ++k) v -= a.at(i, k) * a.at(j, k);
-      a.at(i, j) = v / ljj;
-    }
-    for (std::size_t c = j + 1; c < n; ++c) a.at(j, c) = 0.0;
+  for (std::size_t k = 0; k < n; ++k) {
+    if (!cholesky_append_row(a.data().data(), n, k)) return false;
+    for (std::size_t c = k + 1; c < n; ++c) a.at(k, c) = 0.0;
   }
   return true;
 }
@@ -30,18 +53,13 @@ std::vector<double> cholesky_solve(const Matrix& l,
   if (b.size() != n) {
     throw std::invalid_argument("cholesky_solve: size mismatch");
   }
-  std::vector<double> y(n, 0.0);
+  const double* factor = l.data().data();
+  std::vector<double> z(n, 0.0);
   for (std::size_t i = 0; i < n; ++i) {
-    double acc = b[i];
-    for (std::size_t k = 0; k < i; ++k) acc -= l.at(i, k) * y[k];
-    y[i] = acc / l.at(i, i);
+    z[i] = forward_substitute_row(factor, l.cols(), i, z.data(), b[i]);
   }
   std::vector<double> x(n, 0.0);
-  for (std::size_t ii = n; ii-- > 0;) {
-    double acc = y[ii];
-    for (std::size_t k = ii + 1; k < n; ++k) acc -= l.at(k, ii) * x[k];
-    x[ii] = acc / l.at(ii, ii);
-  }
+  back_substitute(factor, l.cols(), n, z.data(), x.data());
   return x;
 }
 

@@ -167,7 +167,12 @@ void Daemon::handle_client(const std::shared_ptr<ClientConn>& conn) {
   } catch (const std::exception& e) {
     util::log_warn("serve: client ", conn->socket.peer(), ": ", e.what());
   }
-  conn->socket.close();
+  {
+    // The drain shutdown()s idle sockets under mutex_; closing under it
+    // too means it never touches a closed (or reused) descriptor.
+    std::lock_guard lock(mutex_);
+    conn->socket.close();
+  }
   connected.set(static_cast<double>(--connected_count_));
 }
 

@@ -45,17 +45,30 @@ struct HistogramCells {
 /// first metric update, folded into `retired` when the thread exits.
 struct Shard {
   std::array<std::atomic<std::uint64_t>, kMaxCounters> counters{};
-  std::array<std::unique_ptr<HistogramCells>, kMaxHistograms> histograms;
+  /// Owned; null until the owner thread first records that histogram.
+  std::array<std::atomic<HistogramCells*>, kMaxHistograms> histograms{};
+
+  Shard() = default;
+  Shard(const Shard&) = delete;
+  Shard& operator=(const Shard&) = delete;
+  ~Shard() {
+    for (auto& h : histograms) delete h.load(std::memory_order_relaxed);
+  }
 
   HistogramCells& histogram(std::uint32_t id) {
-    // Owner-thread lazy allocation; scrapers load the pointer with
-    // acquire so a freshly published HistogramCells is fully visible.
-    HistogramCells* cells = histograms[id].get();
+    // Owner-thread lazy allocation, published with release; scrapers on
+    // other threads read it through cells(), with acquire, so a freshly
+    // published HistogramCells is fully visible.
+    HistogramCells* cells = histograms[id].load(std::memory_order_relaxed);
     if (cells == nullptr) {
-      histograms[id] = std::make_unique<HistogramCells>();
-      cells = histograms[id].get();
+      cells = new HistogramCells();
+      histograms[id].store(cells, std::memory_order_release);
     }
     return *cells;
+  }
+
+  [[nodiscard]] HistogramCells* cells(std::uint32_t id) const {
+    return histograms[id].load(std::memory_order_acquire);
   }
 };
 
@@ -104,7 +117,7 @@ void fold_shard(Shard& into, const Shard& from) {
     if (v != 0) into.counters[i].fetch_add(v, std::memory_order_relaxed);
   }
   for (std::uint32_t i = 0; i < kMaxHistograms; ++i) {
-    const HistogramCells* cells = from.histograms[i].get();
+    const HistogramCells* cells = from.cells(i);
     if (cells == nullptr) continue;
     HistogramCells& dst = into.histogram(i);
     dst.sum.fetch_add(cells->sum.load(std::memory_order_relaxed),
@@ -276,7 +289,7 @@ MetricsSnapshot snapshot() {
   }
   for (std::uint32_t i = 0; i < r.histogram_names.size(); ++i) {
     HistogramSnapshot h;
-    if (const HistogramCells* cells = total.histograms[i].get()) {
+    if (const HistogramCells* cells = total.cells(i)) {
       h.sum = cells->sum.load(std::memory_order_relaxed);
       for (int b = 0; b < kBuckets; ++b) {
         const std::uint64_t c =
@@ -299,7 +312,8 @@ void reset_metrics() {
   const std::lock_guard lock(r.mutex);
   auto zero = [](Shard& s) {
     for (auto& c : s.counters) c.store(0, std::memory_order_relaxed);
-    for (auto& h : s.histograms) {
+    for (std::uint32_t i = 0; i < kMaxHistograms; ++i) {
+      HistogramCells* h = s.cells(i);
       if (h == nullptr) continue;
       h->sum.store(0, std::memory_order_relaxed);
       for (auto& b : h->buckets) b.store(0, std::memory_order_relaxed);

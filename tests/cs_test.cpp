@@ -1,11 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <stdexcept>
 
 #include "ulpdream/cs/omp.hpp"
 #include "ulpdream/cs/reconstruct.hpp"
 #include "ulpdream/cs/sensing_matrix.hpp"
 #include "ulpdream/ecg/database.hpp"
+#include "ulpdream/linalg/solve.hpp"
 #include "ulpdream/metrics/quality.hpp"
 #include "ulpdream/util/rng.hpp"
 
@@ -209,6 +215,242 @@ TEST_P(OmpSparsitySweep, RecoveryDegradesGracefullyWithK) {
 
 INSTANTIATE_TEST_SUITE_P(Sparsity, OmpSparsitySweep,
                          ::testing::Values(1, 2, 4, 8, 12, 20, 28));
+
+// ---------------------------------------------------------------------------
+// Bit-for-bit regression of omp_solve against the solver it replaced, which
+// copied the active dictionary and re-solved the normal equations with
+// linalg::least_squares from scratch on every iteration.
+
+OmpResult reference_omp_solve(const linalg::Matrix& a,
+                              const std::vector<double>& y,
+                              const OmpConfig& cfg) {
+  const std::size_t m = a.rows();
+  const std::size_t n = a.cols();
+  if (y.size() != m) throw std::invalid_argument("omp_solve: size mismatch");
+
+  OmpResult result;
+  result.solution.assign(n, 0.0);
+  std::vector<double> residual = y;
+  const double y_norm = linalg::norm2(y);
+  if (y_norm == 0.0) return result;
+
+  std::vector<bool> in_support(n, false);
+  linalg::Matrix active(m, 0);
+  std::vector<double> coeffs;
+
+  for (std::size_t it = 0; it < cfg.max_atoms && it < m; ++it) {
+    const std::vector<double> corr = a.multiply_transposed(residual);
+    std::size_t best = n;
+    double best_mag = 0.0;
+    for (std::size_t c = 0; c < n; ++c) {
+      if (in_support[c]) continue;
+      const double mag = std::fabs(corr[c]);
+      if (mag > best_mag) {
+        best_mag = mag;
+        best = c;
+      }
+    }
+    if (best == n || best_mag < 1e-14) break;
+    in_support[best] = true;
+    result.support.push_back(best);
+
+    linalg::Matrix grown(m, result.support.size());
+    for (std::size_t c = 0; c + 1 < result.support.size(); ++c) {
+      for (std::size_t r = 0; r < m; ++r) grown.at(r, c) = active.at(r, c);
+    }
+    {
+      const std::vector<double> col = a.column(best);
+      for (std::size_t r = 0; r < m; ++r) {
+        grown.at(r, result.support.size() - 1) = col[r];
+      }
+    }
+    active = std::move(grown);
+
+    coeffs = linalg::least_squares(active, y);
+
+    residual = y;
+    for (std::size_t c = 0; c < result.support.size(); ++c) {
+      for (std::size_t r = 0; r < m; ++r) {
+        residual[r] -= coeffs[c] * active.at(r, c);
+      }
+    }
+    result.iterations = it + 1;
+    result.residual_norm = linalg::norm2(residual);
+    if (result.residual_norm / y_norm < cfg.residual_tol) break;
+  }
+
+  for (std::size_t c = 0; c < result.support.size(); ++c) {
+    result.solution[result.support[c]] = coeffs.empty() ? 0.0 : coeffs[c];
+  }
+  return result;
+}
+
+void expect_bit_identical(const linalg::Matrix& a, const std::vector<double>& y,
+                          const OmpConfig& cfg) {
+  const OmpResult want = reference_omp_solve(a, y, cfg);
+  const OmpResult got = omp_solve(a, y, cfg);
+  ASSERT_EQ(got.solution.size(), want.solution.size());
+  EXPECT_EQ(std::memcmp(got.solution.data(), want.solution.data(),
+                        want.solution.size() * sizeof(double)),
+            0);
+  EXPECT_EQ(got.support, want.support);
+  EXPECT_EQ(got.iterations, want.iterations);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(got.residual_norm),
+            std::bit_cast<std::uint64_t>(want.residual_norm));
+}
+
+linalg::Matrix gaussian_dictionary(std::size_t m, std::size_t n,
+                                   std::uint64_t seed) {
+  util::Xoshiro256 rng(seed);
+  linalg::Matrix a(m, n);
+  for (double& v : a.data()) v = rng.gaussian();
+  return a;
+}
+
+std::vector<double> gaussian_vector(std::size_t m, util::Xoshiro256& rng) {
+  std::vector<double> y(m);
+  for (double& v : y) v = rng.gaussian(0.0, 100.0);
+  return y;
+}
+
+/// Number of active sets along `support` whose ridged Gram (as
+/// least_squares builds it) linalg::cholesky rejects.
+int failed_factorizations(const linalg::Matrix& a,
+                          const std::vector<std::size_t>& support) {
+  int failed = 0;
+  for (std::size_t k = 1; k <= support.size(); ++k) {
+    linalg::Matrix gram(k, k);
+    for (std::size_t i = 0; i < k; ++i) {
+      for (std::size_t j = i; j < k; ++j) {
+        double acc = 0.0;
+        for (std::size_t r = 0; r < a.rows(); ++r) {
+          acc += a.at(r, support[i]) * a.at(r, support[j]);
+        }
+        gram.at(i, j) = acc;
+        gram.at(j, i) = acc;
+      }
+      gram.at(i, i) += linalg::kLeastSquaresRidge;
+    }
+    if (!linalg::cholesky(gram)) ++failed;
+  }
+  return failed;
+}
+
+TEST(OmpBitIdentity, CsDictionaryWithEcgMeasurements) {
+  CsConfig cfg;
+  cfg.omp.max_atoms = 64;
+  const CsReconstructor recon(cfg);
+  const linalg::Matrix& a = recon.dictionary();
+  ASSERT_EQ(a.rows(), 128u);
+  ASSERT_EQ(a.cols(), 256u);
+  const linalg::Matrix phi = recon.phi().to_dense();
+  util::Xoshiro256 faults(77);
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    const ecg::Record rec = ecg::make_default_record(seed);
+    for (std::size_t block = 0; block < 3; ++block) {
+      std::vector<double> x(cfg.block_n);
+      for (std::size_t i = 0; i < cfg.block_n; ++i) {
+        x[i] = static_cast<double>(rec.samples[block * cfg.block_n + i]);
+      }
+      // The app stores y as 16-bit words, so model it on the integers.
+      std::vector<double> y = phi.multiply(x);
+      for (double& v : y) v = std::nearbyint(v);
+      SCOPED_TRACE("record " + std::to_string(seed) + " block " +
+                   std::to_string(block));
+      expect_bit_identical(a, y, cfg.omp);
+
+      // Faulty memory: flip high-order bits of a few stored words.
+      std::vector<double> corrupt = y;
+      for (int f = 0; f < 6; ++f) {
+        const std::size_t r = faults.bounded(corrupt.size());
+        const auto word = static_cast<std::uint16_t>(
+            static_cast<std::int16_t>(corrupt[r]));
+        const auto bit = static_cast<unsigned>(10 + faults.bounded(6));
+        corrupt[r] = static_cast<double>(static_cast<std::int16_t>(
+            static_cast<std::uint16_t>(word ^ (1u << bit))));
+      }
+      expect_bit_identical(a, corrupt, cfg.omp);
+    }
+  }
+}
+
+TEST(OmpBitIdentity, GaussianDictionaries) {
+  struct Shape {
+    std::size_t m, n, max_atoms;
+  };
+  for (const Shape shape : {Shape{16, 32, 16}, Shape{32, 64, 24},
+                            Shape{64, 128, 64}, Shape{48, 200, 100}}) {
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+      const linalg::Matrix a = gaussian_dictionary(shape.m, shape.n, seed);
+      util::Xoshiro256 rng(seed * 1000 + shape.m);
+      OmpConfig cfg;
+      cfg.max_atoms = shape.max_atoms;
+      SCOPED_TRACE(std::to_string(shape.m) + "x" + std::to_string(shape.n) +
+                   " seed " + std::to_string(seed));
+      expect_bit_identical(a, gaussian_vector(shape.m, rng), cfg);
+
+      // An exactly sparse y, which stops on the residual tolerance.
+      std::vector<double> alpha(shape.n, 0.0);
+      for (int i = 0; i < 5; ++i) alpha[rng.bounded(shape.n)] = rng.gaussian();
+      expect_bit_identical(a, a.multiply(alpha), cfg);
+    }
+  }
+}
+
+TEST(OmpBitIdentity, ExactZerosInMeasurement) {
+  // multiply_transposed skips y[r] == 0.0 (either sign) when it builds the
+  // rhs; measurements with exact zeros must still come out bit-identical.
+  const linalg::Matrix a = gaussian_dictionary(32, 64, 9);
+  util::Xoshiro256 rng(10);
+  for (int trial = 0; trial < 4; ++trial) {
+    std::vector<double> y = gaussian_vector(32, rng);
+    for (std::size_t r = 0; r < y.size(); r += 2 + rng.bounded(3)) {
+      y[r] = rng.bernoulli(0.5) ? 0.0 : -0.0;
+    }
+    ASSERT_GT(std::count(y.begin(), y.end(), 0.0), 5);
+    expect_bit_identical(a, y, OmpConfig{});
+  }
+}
+
+TEST(OmpBitIdentity, AtomBudgetHit) {
+  const linalg::Matrix a = gaussian_dictionary(64, 128, 11);
+  util::Xoshiro256 rng(12);
+  for (const std::size_t budget : {1u, 2u, 7u, 30u}) {
+    OmpConfig cfg;
+    cfg.max_atoms = budget;
+    const std::vector<double> y = gaussian_vector(64, rng);
+    ASSERT_EQ(omp_solve(a, y, cfg).iterations, budget);
+    expect_bit_identical(a, y, cfg);
+  }
+}
+
+TEST(OmpBitIdentity, FailedPivotFallsBackToRidgedLeastSquares) {
+  // Large-norm columns with near-duplicates: once OMP has spent the
+  // independent atoms it picks a near-copy, and the ridged Gram of that
+  // active set has a non-positive pivot in floating point, so the solver
+  // must hand the set to least_squares and its trace-relative ridge.
+  const std::size_t m = 16;
+  int total_failed = 0;
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    util::Xoshiro256 rng(seed);
+    const std::size_t base = 4;
+    linalg::Matrix a(m, 2 * base);
+    for (std::size_t c = 0; c < base; ++c) {
+      for (std::size_t r = 0; r < m; ++r) {
+        const double v = 1e8 * rng.gaussian();
+        a.at(r, c) = v;
+        a.at(r, base + c) = v + 1e-3 * rng.gaussian();
+      }
+    }
+    const std::vector<double> y = gaussian_vector(m, rng);
+    const OmpResult res = reference_omp_solve(a, y, OmpConfig{});
+    total_failed += failed_factorizations(a, res.support);
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    expect_bit_identical(a, y, OmpConfig{});
+  }
+  EXPECT_GT(total_failed, 0) << "no active set needed the ridge retry";
+}
+
 
 }  // namespace
 }  // namespace ulpdream::cs

@@ -19,6 +19,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "ulpdream/campaign/session.hpp"
@@ -437,6 +438,36 @@ TEST(Coordinator, WorkerDeathBetweenLeasesIsAbsorbed) {
   EXPECT_GE(report.shards_ingested,
             spec.item_count() / options.lease_items);
   EXPECT_EQ(slurp(options.store_out), reference);
+}
+
+TEST(Coordinator, SameNamedWorkersOfConcurrentCoordinatorsKeepTheirShards) {
+  // Two campaigns served at once, each by a worker called "twin" that is
+  // granted the same lease ids: the workers' lease files must not
+  // collide, or one coordinator ingests the other's (or a vanished)
+  // shard and serve() waits forever for a worker that is gone.
+  const CampaignSpec spec = small_spec(31, 8);  // 32 items, 11 leases
+  const fs::path dirs[2] = {scratch("twin_a"), scratch("twin_b")};
+  const std::string reference = reference_columnar_bytes(spec, dirs[0]);
+
+  std::string merged[2];
+  std::string errors[2];
+  auto run = [&](int i) {
+    const auto options = coordinator_options(dirs[i]);
+    Coordinator coordinator(spec, options);
+    FakeWorker twin(spec, coordinator, named("twin"));
+    (void)coordinator.serve();
+    twin.join();
+    errors[i] = twin.error();
+    merged[i] = slurp(options.store_out);
+  };
+  std::jthread other(run, 1);  // joins on every exit path
+  run(0);
+  other.join();
+
+  for (int i = 0; i < 2; ++i) {
+    EXPECT_EQ(errors[i], "") << "campaign " << i;
+    EXPECT_EQ(merged[i], reference) << "campaign " << i;
+  }
 }
 
 TEST(Coordinator, FingerprintMismatchIsRejectedQuotingBothFingerprints) {

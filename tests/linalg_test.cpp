@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "ulpdream/linalg/matrix.hpp"
 #include "ulpdream/linalg/solve.hpp"
@@ -99,6 +100,123 @@ TEST(Cholesky, RejectsIndefinite) {
   a.at(0, 0) = 1; a.at(0, 1) = 2;
   a.at(1, 0) = 2; a.at(1, 1) = 1;  // eigenvalues 3, -1
   EXPECT_FALSE(cholesky(a));
+}
+
+// The column-by-column sweep cholesky() ran before it was built on
+// cholesky_append_row; row appends must reproduce it bit for bit.
+bool column_sweep_cholesky(Matrix& a) {
+  const std::size_t n = a.rows();
+  if (a.cols() != n) return false;
+  for (std::size_t j = 0; j < n; ++j) {
+    double diag = a.at(j, j);
+    for (std::size_t k = 0; k < j; ++k) diag -= a.at(j, k) * a.at(j, k);
+    if (diag <= 0.0) return false;
+    const double ljj = std::sqrt(diag);
+    a.at(j, j) = ljj;
+    for (std::size_t i = j + 1; i < n; ++i) {
+      double v = a.at(i, j);
+      for (std::size_t k = 0; k < j; ++k) v -= a.at(i, k) * a.at(j, k);
+      a.at(i, j) = v / ljj;
+    }
+    for (std::size_t c = j + 1; c < n; ++c) a.at(j, c) = 0.0;
+  }
+  return true;
+}
+
+bool same_bits(const Matrix& a, const Matrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.data().data(), b.data().data(),
+                     a.data().size() * sizeof(double)) == 0;
+}
+
+Matrix random_gram(std::size_t n, std::size_t rank, double ridge,
+                   util::Xoshiro256& rng) {
+  Matrix m(rank, n);
+  for (auto& v : m.data()) v = rng.gaussian();
+  Matrix a = m.transpose().multiply(m);
+  for (std::size_t i = 0; i < n; ++i) a.at(i, i) += ridge;
+  return a;
+}
+
+TEST(Cholesky, RowAppendMatchesColumnSweepBitForBit) {
+  struct Case {
+    std::size_t rank;
+    double ridge;
+  };
+  util::Xoshiro256 rng(2024);
+  int accepted = 0;
+  int rejected = 0;
+  for (std::size_t n = 1; n <= 40; ++n) {
+    // Full rank with OMP's ridge, and exactly rank-deficient with none,
+    // whose late pivots are rounding noise of either sign.
+    for (const Case c : {Case{n + 3, 1e-9}, Case{n / 2 + 1, 0.0}}) {
+      const Matrix a = random_gram(n, c.rank, c.ridge, rng);
+      Matrix want = a;
+      Matrix got = a;
+      const bool want_ok = column_sweep_cholesky(want);
+      SCOPED_TRACE("n " + std::to_string(n) + " rank " +
+                   std::to_string(c.rank));
+      ASSERT_EQ(cholesky(got), want_ok);
+      if (want_ok) {
+        EXPECT_TRUE(same_bits(got, want));
+        ++accepted;
+      } else {
+        ++rejected;
+      }
+    }
+  }
+  EXPECT_GT(accepted, 40);
+  EXPECT_GT(rejected, 0);
+}
+
+TEST(Cholesky, RowAppendRejectsIndefiniteLikeColumnSweep) {
+  util::Xoshiro256 rng(7);
+  for (std::size_t n = 2; n <= 24; ++n) {
+    Matrix a = random_gram(n, n + 2, 0.0, rng);
+    // Push one late diagonal entry negative: the leading block stays SPD,
+    // so the failure is found only at that pivot.
+    a.at(n - 1, n - 1) = -1.0;
+    Matrix want = a;
+    Matrix got = a;
+    EXPECT_FALSE(column_sweep_cholesky(want));
+    EXPECT_FALSE(cholesky(got));
+  }
+}
+
+TEST(Cholesky, GrownRowByRowEqualsFullFactor) {
+  // OMP grows its factor in a buffer wider than the active set; the
+  // leading block of a left-looking factor depends only on the leading
+  // block of the matrix, so each prefix equals the full factorization.
+  util::Xoshiro256 rng(31);
+  const std::size_t n = 12;
+  const std::size_t stride = 20;
+  const Matrix a = random_gram(n, n + 4, 1e-9, rng);
+  std::vector<double> grown(stride * stride, 0.0);
+  std::vector<double> z(n, 0.0);
+  std::vector<double> b(n);
+  for (auto& v : b) v = rng.gaussian();
+  for (std::size_t k = 0; k < n; ++k) {
+    for (std::size_t j = 0; j <= k; ++j) grown[k * stride + j] = a.at(k, j);
+    ASSERT_TRUE(cholesky_append_row(grown.data(), stride, k));
+    z[k] = forward_substitute_row(grown.data(), stride, k, z.data(), b[k]);
+
+    Matrix lead(k + 1, k + 1);
+    for (std::size_t i = 0; i <= k; ++i) {
+      for (std::size_t j = 0; j <= k; ++j) lead.at(i, j) = a.at(i, j);
+    }
+    ASSERT_TRUE(cholesky(lead));
+    for (std::size_t i = 0; i <= k; ++i) {
+      EXPECT_EQ(std::memcmp(&grown[i * stride], &lead.data()[i * (k + 1)],
+                            (i + 1) * sizeof(double)),
+                0);
+    }
+    std::vector<double> x(k + 1);
+    back_substitute(grown.data(), stride, k + 1, z.data(), x.data());
+    const std::vector<double> prefix(b.begin(), b.begin() + lead.rows());
+    const std::vector<double> want = cholesky_solve(lead, prefix);
+    EXPECT_EQ(std::memcmp(x.data(), want.data(), x.size() * sizeof(double)),
+              0);
+  }
 }
 
 TEST(Solve, SpdSolveMatchesKnownSolution) {
