@@ -5,7 +5,8 @@
 // then EMT — and push them through this one folder, so the two paths are
 // bit-identical by construction: same accumulator types, same operation
 // order, same row emission. Any change to the statistics happens here
-// once and both formats inherit it.
+// once and both formats (and ResultStore::to_sweep_result, which reads
+// the in-memory rows) inherit it.
 
 #include <cmath>
 #include <cstddef>
@@ -18,7 +19,7 @@
 
 namespace ulpdream::campaign::detail {
 
-/// Per-group fold state (same shape as the sweep's CellAccum).
+/// Per-group fold state.
 struct GroupAccum {
   util::RunningStats snr;
   util::QuantileSketch snr_quantiles;

@@ -126,7 +126,9 @@ class ResultStore {
       const GroupBy& group = GroupBy{}) const;
 
   /// Bridge to the policy explorer: the (record, app) slice of a complete
-  /// store as a sim::SweepResult (same statistics the serial sweep fills).
+  /// store as a sim::SweepResult — each point is the matching aggregate()
+  /// row, so the two views never disagree. Throws like aggregate() on an
+  /// incomplete store, std::invalid_argument on an out-of-range index.
   [[nodiscard]] sim::SweepResult to_sweep_result(std::size_t record_index,
                                                  std::size_t app_index) const;
 

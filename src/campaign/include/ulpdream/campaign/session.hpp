@@ -1,8 +1,8 @@
 #pragma once
 // Asynchronous execution runtime. A Session is a long-lived object that
-// owns one shared util::WorkPool; any number of campaigns (and, through
-// Session::pool(), sim sweeps) are submitted onto it concurrently and
-// interleave at work-item granularity. submit() returns a CampaignHandle
+// owns one shared util::WorkPool; any number of campaigns (voltage sweeps
+// included — a sweep is a CampaignSpec) are submitted onto it concurrently
+// and interleave at work-item granularity. submit() returns a CampaignHandle
 // — a future-like job handle with wait()/try_result(), live progress
 // (items done, per-worker throughput), cooperative item-granular
 // cancellation, an observer that streams each completed WorkItem's
@@ -171,9 +171,6 @@ class Session {
   [[nodiscard]] CampaignHandle submit(const CampaignSpec& spec,
                                       SubmitOptions options = {});
 
-  /// The shared pool, for co-scheduling non-campaign index jobs (e.g.
-  /// sim::ParallelSweepRunner::run_multi(pool, ...)) with campaigns.
-  [[nodiscard]] util::WorkPool& pool() noexcept { return pool_; }
   [[nodiscard]] unsigned threads() const noexcept { return pool_.threads(); }
   [[nodiscard]] const energy::SystemEnergyModel& energy_model() const {
     return energy_model_;

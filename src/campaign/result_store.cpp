@@ -28,11 +28,6 @@ namespace {
 
 constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
 
-// The per-group fold state and the grouped fold itself live in
-// aggregate_fold.hpp, shared with the streaming columnar path so the two
-// formats aggregate bit-identically by construction.
-using detail::GroupAccum;
-
 }  // namespace
 
 ResultStore::ResultStore(CampaignSpec spec) : spec_(std::move(spec)) {
@@ -195,53 +190,44 @@ std::vector<AggregateRow> ResultStore::aggregate(const GroupBy& group) const {
 
 sim::SweepResult ResultStore::to_sweep_result(std::size_t record_index,
                                               std::size_t app_index) const {
-  if (!complete()) {
-    throw std::logic_error("ResultStore::to_sweep_result: store incomplete");
-  }
+  const std::vector<AggregateRow> rows = aggregate();
   if (record_index >= spec_.records.size() ||
       app_index >= spec_.apps.size()) {
     throw std::invalid_argument("ResultStore::to_sweep_result: bad index");
   }
-  const std::size_t na = spec_.apps.size();
   const std::size_t ne = spec_.emts.size();
   const std::size_t nv = spec_.voltages.size();
-  const std::size_t reps = spec_.repetitions;
   const auto ber_model = mem::make_ber_model(spec_.ber_model);
 
   sim::SweepResult result;
   result.config.voltages = spec_.voltages;
-  result.config.runs = reps;
-  result.config.seed = spec_.seed;
-  result.config.ber_model = spec_.ber_model;
   result.config.emts = spec_.emts;
   result.max_snr_db = max_snr_db(record_index, app_index);
 
+  // Rows run record, app, EMT, voltage (voltage fastest); the sweep lists
+  // its points voltage-major, EMT-minor.
+  const std::size_t base = (record_index * spec_.apps.size() + app_index) *
+                           ne * nv;
   for (std::size_t vi = 0; vi < nv; ++vi) {
     for (std::size_t ei = 0; ei < ne; ++ei) {
-      GroupAccum a;
-      for (std::size_t rep = 0; rep < reps; ++rep) {
-        const std::size_t item = (record_index * nv + vi) * reps + rep;
-        const std::size_t slot = find_slot(item);
-        a.add(samples_[slot * na * ne + app_index * ne + ei]);
-      }
+      const AggregateRow& row = rows[base + ei * nv + vi];
       sim::SweepPoint p;
-      p.app = spec_.apps[app_index];
-      p.emt = spec_.emts[ei];
-      p.voltage = spec_.voltages[vi];
+      p.app = row.app;
+      p.emt = row.emt;
+      p.voltage = row.voltage;
       p.ber = ber_model->ber(p.voltage);
-      p.snr_mean_db = a.snr.mean();
-      p.snr_stddev_db = a.snr.stddev();
-      p.snr_min_db = a.snr.min();
-      p.snr_p10_db = a.snr_quantiles.quantile(0.10);
-      p.energy_mean_j = a.energy.mean();
-      const double n = static_cast<double>(a.snr.count());
-      p.energy_mean.data_dynamic_j = a.energy_sum.data_dynamic_j / n;
-      p.energy_mean.side_dynamic_j = a.energy_sum.side_dynamic_j / n;
-      p.energy_mean.codec_j = a.energy_sum.codec_j / n;
-      p.energy_mean.data_leak_j = a.energy_sum.data_leak_j / n;
-      p.energy_mean.side_leak_j = a.energy_sum.side_leak_j / n;
-      p.corrected_words_mean = a.corrected.mean();
-      p.detected_uncorrectable_mean = a.detected.mean();
+      p.snr_mean_db = row.snr_mean_db;
+      p.snr_stddev_db = row.snr_stddev_db;
+      p.snr_min_db = row.snr_min_db;
+      p.snr_p10_db = row.snr_p10_db;
+      p.energy_mean_j = row.energy_mean_j;
+      p.energy_mean.data_dynamic_j = row.data_dynamic_j;
+      p.energy_mean.side_dynamic_j = row.side_dynamic_j;
+      p.energy_mean.codec_j = row.codec_j;
+      p.energy_mean.data_leak_j = row.data_leak_j;
+      p.energy_mean.side_leak_j = row.side_leak_j;
+      p.corrected_words_mean = row.corrected_mean;
+      p.detected_uncorrectable_mean = row.detected_mean;
       result.points.push_back(p);
     }
   }

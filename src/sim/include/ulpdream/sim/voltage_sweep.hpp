@@ -1,35 +1,26 @@
 #pragma once
-// Fig. 4 + Sec. VI-B experiment: Monte-Carlo voltage sweep. For every
-// supply point, `runs` random fault maps are drawn at BER(V); each map is
-// reused across all EMTs and applications at that point ("all the EMTs are
-// tested reusing the same set of error locations/mappings", Sec. V).
-// Outputs per (app, EMT, V): mean SNR with spread, mean energy breakdown,
-// and codec correction statistics.
+// Fig. 4 + Sec. VI-B result shape: one application's Monte-Carlo voltage
+// sweep as per-(EMT, V) statistics — mean SNR with spread, mean energy
+// breakdown, and codec correction statistics. Sweeps execute as campaign
+// grids (campaign::CampaignSpec through campaign::CampaignEngine or
+// Session), which draw `repetitions` fault maps per supply point and reuse
+// each map across all EMTs and applications ("all the EMTs are tested
+// reusing the same set of error locations/mappings", Sec. V);
+// campaign::ResultStore::to_sweep_result slices the finished store into
+// this shape, the input of the Sec. VI-C policy explorer.
 
-#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
 
-#include "ulpdream/apps/app.hpp"
-#include "ulpdream/mem/ber_model.hpp"
-#include "ulpdream/sim/runner.hpp"
-#include "ulpdream/util/stats.hpp"
+#include "ulpdream/energy/energy_model.hpp"
 
 namespace ulpdream::sim {
 
+/// The axes a SweepResult covers (the grid explore_policy walks).
 struct SweepConfig {
-  std::vector<double> voltages;      ///< default: 0.50 .. 0.90 step 0.05
-  std::size_t runs = 200;            ///< Monte-Carlo maps per point (paper)
-  std::uint64_t seed = 2016;
-  /// Registry names resolved through mem::ber_model_registry() and
-  /// core::emt_registry() — user-registered components are addressable
-  /// here exactly like the built-ins.
-  std::string ber_model = "log-linear";
-  std::vector<std::string> emts;     ///< default: none, dream, ecc_secded
-  bool scramble_addresses = false;   ///< D3 ablation knob
-
-  [[nodiscard]] static SweepConfig defaults();
+  std::vector<double> voltages;
+  std::vector<std::string> emts;  ///< registry names
 };
 
 struct SweepPoint {
@@ -56,19 +47,5 @@ struct SweepResult {
 
   [[nodiscard]] const SweepPoint* find(std::string_view emt, double v) const;
 };
-
-/// Runs the sweep for one application over one record.
-[[nodiscard]] SweepResult run_voltage_sweep(ExperimentRunner& runner,
-                                            const apps::BioApp& app,
-                                            const ecg::Record& record,
-                                            const SweepConfig& cfg);
-
-/// Multi-app variant sharing fault maps across apps and EMTs per
-/// (voltage, run) — the exact fairness protocol of Sec. V. Returns one
-/// SweepResult per app, in the order given.
-[[nodiscard]] std::vector<SweepResult> run_voltage_sweep_multi(
-    ExperimentRunner& runner,
-    const std::vector<const apps::BioApp*>& app_list,
-    const ecg::Record& record, const SweepConfig& cfg);
 
 }  // namespace ulpdream::sim

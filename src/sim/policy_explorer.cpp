@@ -4,6 +4,8 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "ulpdream/mem/ber_model.hpp"
+
 namespace ulpdream::sim {
 
 PolicyResult explore_policy(const SweepResult& sweep, double threshold_db,

@@ -1,162 +1,14 @@
 #include "ulpdream/sim/voltage_sweep.hpp"
 
-#include <algorithm>
 #include <cmath>
 
-#include "sweep_internal.hpp"
-#include "ulpdream/core/ecc_secded.hpp"
-
 namespace ulpdream::sim {
-
-namespace internal {
-
-SweepConfig normalize_config(const SweepConfig& cfg) {
-  SweepConfig out = cfg;
-  if (out.voltages.empty()) out.voltages = SweepConfig::defaults().voltages;
-  if (out.emts.empty()) out.emts = core::paper_emt_names();
-  return out;
-}
-
-std::vector<std::unique_ptr<core::Emt>> make_emts(const SweepConfig& cfg) {
-  std::vector<std::unique_ptr<core::Emt>> out;
-  out.reserve(cfg.emts.size());
-  for (const std::string& name : cfg.emts) out.push_back(core::make_emt(name));
-  return out;
-}
-
-AccumGrid make_accum_grid(std::size_t apps, const SweepConfig& cfg) {
-  AccumGrid grid(apps);
-  for (auto& a : grid) {
-    a.resize(cfg.voltages.size() * cfg.emts.size());
-  }
-  return grid;
-}
-
-void accumulate_voltage_point(
-    ExperimentRunner& runner,
-    const std::vector<const apps::BioApp*>& app_list,
-    const ecg::Record& record, const SweepConfig& cfg,
-    const std::vector<std::unique_ptr<core::Emt>>& emts,
-    const mem::BerModel& ber_model, std::size_t vi, AccumGrid& grid) {
-  // Maps are generated at the sweep's widest payload so the same cell
-  // fault locations apply to every EMT (narrower payloads simply never
-  // touch the high columns) — at least ECC's 22 bits, so built-in sweeps
-  // keep their historical maps, and wider for user EMTs that need more.
-  int map_bits = core::EccSecDed::kPayloadBits;
-  for (const auto& emt : emts) {
-    map_bits = std::max(map_bits, emt->payload_bits());
-  }
-
-  const double v = cfg.voltages[vi];
-  const double ber = ber_model.ber(v);
-  util::Xoshiro256 rng(util::mix64(cfg.seed, vi));
-  for (std::size_t run = 0; run < cfg.runs; ++run) {
-    const mem::FaultMap map = mem::FaultMap::random(
-        mem::MemoryGeometry::kWords16, map_bits, ber, rng);
-    for (std::size_t ai = 0; ai < app_list.size(); ++ai) {
-      for (std::size_t ei = 0; ei < cfg.emts.size(); ++ei) {
-        const RunResult r =
-            runner.run_once(*app_list[ai], record, *emts[ei], &map, v);
-        CellAccum& cell = grid[ai][vi * cfg.emts.size() + ei];
-        cell.snr.add(r.snr_db);
-        cell.snr_quantiles.add(r.snr_db);
-        cell.energy.add(r.energy.total_j());
-        cell.energy_sum.data_dynamic_j += r.energy.data_dynamic_j;
-        cell.energy_sum.side_dynamic_j += r.energy.side_dynamic_j;
-        cell.energy_sum.codec_j += r.energy.codec_j;
-        cell.energy_sum.data_leak_j += r.energy.data_leak_j;
-        cell.energy_sum.side_leak_j += r.energy.side_leak_j;
-        cell.corrected.add(static_cast<double>(r.counters.corrected_words));
-        cell.detected.add(
-            static_cast<double>(r.counters.detected_uncorrectable));
-      }
-    }
-  }
-}
-
-std::vector<SweepResult> finalize_sweep(
-    ExperimentRunner& runner,
-    const std::vector<const apps::BioApp*>& app_list,
-    const ecg::Record& record, const SweepConfig& cfg,
-    const mem::BerModel& ber_model, const AccumGrid& grid) {
-  std::vector<SweepResult> results;
-  results.reserve(app_list.size());
-  for (std::size_t ai = 0; ai < app_list.size(); ++ai) {
-    SweepResult result;
-    result.config = cfg;
-    result.max_snr_db = runner.max_snr_db(*app_list[ai], record);
-    for (std::size_t vi = 0; vi < cfg.voltages.size(); ++vi) {
-      for (std::size_t ei = 0; ei < cfg.emts.size(); ++ei) {
-        const CellAccum& cell = grid[ai][vi * cfg.emts.size() + ei];
-        SweepPoint p;
-        p.app = app_list[ai]->name();
-        p.emt = cfg.emts[ei];
-        p.voltage = cfg.voltages[vi];
-        p.ber = ber_model.ber(p.voltage);
-        p.snr_mean_db = cell.snr.mean();
-        p.snr_stddev_db = cell.snr.stddev();
-        p.snr_min_db = cell.snr.min();
-        p.snr_p10_db = cell.snr_quantiles.quantile(0.10);
-        p.energy_mean_j = cell.energy.mean();
-        const double n = static_cast<double>(cell.snr.count());
-        p.energy_mean.data_dynamic_j = cell.energy_sum.data_dynamic_j / n;
-        p.energy_mean.side_dynamic_j = cell.energy_sum.side_dynamic_j / n;
-        p.energy_mean.codec_j = cell.energy_sum.codec_j / n;
-        p.energy_mean.data_leak_j = cell.energy_sum.data_leak_j / n;
-        p.energy_mean.side_leak_j = cell.energy_sum.side_leak_j / n;
-        p.corrected_words_mean = cell.corrected.mean();
-        p.detected_uncorrectable_mean = cell.detected.mean();
-        result.points.push_back(p);
-      }
-    }
-    results.push_back(std::move(result));
-  }
-  return results;
-}
-
-}  // namespace internal
-
-SweepConfig SweepConfig::defaults() {
-  SweepConfig cfg;
-  for (double v = mem::VoltageWindow::kMin;
-       v <= mem::VoltageWindow::kNominal + 1e-9;
-       v += mem::VoltageWindow::kStep) {
-    cfg.voltages.push_back(v);
-  }
-  cfg.emts = core::paper_emt_names();
-  return cfg;
-}
 
 const SweepPoint* SweepResult::find(std::string_view emt, double v) const {
   for (const auto& p : points) {
     if (p.emt == emt && std::fabs(p.voltage - v) < 1e-6) return &p;
   }
   return nullptr;
-}
-
-std::vector<SweepResult> run_voltage_sweep_multi(
-    ExperimentRunner& runner,
-    const std::vector<const apps::BioApp*>& app_list,
-    const ecg::Record& record, const SweepConfig& base_cfg) {
-  const SweepConfig cfg = internal::normalize_config(base_cfg);
-  const auto ber_model = mem::make_ber_model(cfg.ber_model);
-  const auto emts = internal::make_emts(cfg);
-
-  internal::AccumGrid grid = internal::make_accum_grid(app_list.size(), cfg);
-  for (std::size_t vi = 0; vi < cfg.voltages.size(); ++vi) {
-    internal::accumulate_voltage_point(runner, app_list, record, cfg, emts,
-                                       *ber_model, vi, grid);
-  }
-  return internal::finalize_sweep(runner, app_list, record, cfg, *ber_model,
-                                  grid);
-}
-
-SweepResult run_voltage_sweep(ExperimentRunner& runner,
-                              const apps::BioApp& app,
-                              const ecg::Record& record,
-                              const SweepConfig& cfg) {
-  const std::vector<const apps::BioApp*> one = {&app};
-  return run_voltage_sweep_multi(runner, one, record, cfg).front();
 }
 
 }  // namespace ulpdream::sim

@@ -55,6 +55,36 @@ void expect_rows_identical(const std::vector<AggregateRow>& a,
   }
 }
 
+// Bit-identical sweep comparison: EXPECT_EQ on every field of every point.
+void expect_bit_identical(const sim::SweepResult& a,
+                          const sim::SweepResult& b) {
+  EXPECT_EQ(a.max_snr_db, b.max_snr_db);
+  EXPECT_EQ(a.config.voltages, b.config.voltages);
+  EXPECT_EQ(a.config.emts, b.config.emts);
+  ASSERT_EQ(a.points.size(), b.points.size());
+  for (std::size_t i = 0; i < a.points.size(); ++i) {
+    SCOPED_TRACE(testing::Message() << "point " << i);
+    const sim::SweepPoint& pa = a.points[i];
+    const sim::SweepPoint& pb = b.points[i];
+    EXPECT_EQ(pa.app, pb.app);
+    EXPECT_EQ(pa.emt, pb.emt);
+    EXPECT_EQ(pa.voltage, pb.voltage);
+    EXPECT_EQ(pa.ber, pb.ber);
+    EXPECT_EQ(pa.snr_mean_db, pb.snr_mean_db);
+    EXPECT_EQ(pa.snr_stddev_db, pb.snr_stddev_db);
+    EXPECT_EQ(pa.snr_min_db, pb.snr_min_db);
+    EXPECT_EQ(pa.snr_p10_db, pb.snr_p10_db);
+    EXPECT_EQ(pa.energy_mean_j, pb.energy_mean_j);
+    EXPECT_EQ(pa.energy_mean.data_dynamic_j, pb.energy_mean.data_dynamic_j);
+    EXPECT_EQ(pa.energy_mean.side_dynamic_j, pb.energy_mean.side_dynamic_j);
+    EXPECT_EQ(pa.energy_mean.codec_j, pb.energy_mean.codec_j);
+    EXPECT_EQ(pa.energy_mean.data_leak_j, pb.energy_mean.data_leak_j);
+    EXPECT_EQ(pa.energy_mean.side_leak_j, pb.energy_mean.side_leak_j);
+    EXPECT_EQ(pa.corrected_words_mean, pb.corrected_words_mean);
+    EXPECT_EQ(pa.detected_uncorrectable_mean, pb.detected_uncorrectable_mean);
+  }
+}
+
 TEST(CampaignSpec, ExpansionIsCanonical) {
   const CampaignSpec spec = tiny_spec();
   EXPECT_EQ(spec.item_count(), 2u * 2u * 2u);
@@ -118,14 +148,103 @@ TEST(CampaignSpec, ParsesAxisLists) {
 }
 
 TEST(CampaignEngine, BitIdenticalAcrossThreadCounts) {
-  const CampaignSpec spec = tiny_spec();
-  const CampaignEngine serial(energy::SystemEnergyModel(), 1);
-  const auto baseline = serial.run(spec).aggregate();
-  for (const unsigned threads : {4u, 8u}) {
-    SCOPED_TRACE(testing::Message() << "threads=" << threads);
-    const CampaignEngine engine(energy::SystemEnergyModel(), threads);
-    expect_rows_identical(baseline, engine.run(spec).aggregate());
+  // The two-app grid, and a one-voltage grid with fewer items (3) than
+  // most of the thread counts below.
+  CampaignSpec one_voltage = tiny_spec();
+  one_voltage.voltages = {0.7};
+  one_voltage.records.resize(1);
+  one_voltage.repetitions = 3;
+  for (const CampaignSpec& spec : {tiny_spec(), one_voltage.normalized()}) {
+    SCOPED_TRACE(testing::Message() << "items=" << spec.item_count());
+    const CampaignEngine serial(energy::SystemEnergyModel(), 1);
+    const ResultStore baseline = serial.run(spec);
+    for (const unsigned threads : {2u, 4u, 8u, 16u}) {
+      SCOPED_TRACE(testing::Message() << "threads=" << threads);
+      const CampaignEngine engine(energy::SystemEnergyModel(), threads);
+      EXPECT_EQ(engine.threads(), threads);
+      const ResultStore store = engine.run(spec);
+      expect_rows_identical(baseline.aggregate(), store.aggregate());
+      for (std::size_t ri = 0; ri < spec.records.size(); ++ri) {
+        for (std::size_t ai = 0; ai < spec.apps.size(); ++ai) {
+          SCOPED_TRACE(testing::Message() << "record " << ri << " app " << ai);
+          expect_bit_identical(baseline.to_sweep_result(ri, ai),
+                               store.to_sweep_result(ri, ai));
+        }
+      }
+    }
   }
+}
+
+TEST(CampaignEngine, DefaultThreadCountIsPositive) {
+  EXPECT_GE(CampaignEngine().threads(), 1u);
+}
+
+// A voltage sweep is a one-record campaign sliced by to_sweep_result: the
+// dwt app on the default test record, five voltages, six fault maps each.
+CampaignSpec sweep_spec() {
+  CampaignSpec spec;
+  spec.apps = {"dwt"};
+  spec.emts = core::paper_emt_names();
+  spec.voltages = {0.5, 0.6, 0.7, 0.8, 0.9};
+  spec.records = {RecordAxis{ecg::Pathology::kNormalSinus, 1.0, 29}};
+  spec.repetitions = 6;
+  return spec.normalized();
+}
+
+sim::SweepResult run_sweep(const CampaignSpec& spec, unsigned threads,
+                           std::size_t app_index = 0) {
+  const CampaignEngine engine(energy::SystemEnergyModel(), threads);
+  EXPECT_EQ(engine.threads(), threads);
+  return engine.run(spec).to_sweep_result(0, app_index);
+}
+
+TEST(ParallelSweep, BitIdenticalToSerialAcrossThreadCounts) {
+  const sim::SweepResult serial = run_sweep(sweep_spec(), 1);
+  for (const unsigned threads : {1u, 2u, 8u}) {
+    SCOPED_TRACE(testing::Message() << "threads=" << threads);
+    expect_bit_identical(serial, run_sweep(sweep_spec(), threads));
+  }
+}
+
+TEST(ParallelSweep, MultiAppBitIdenticalToSerial) {
+  CampaignSpec spec = sweep_spec();
+  spec.apps = {"dwt", "morph_filter"};
+  spec = spec.normalized();
+  const ResultStore serial = CampaignEngine(energy::SystemEnergyModel(), 1)
+                                 .run(spec);
+  const ResultStore parallel = CampaignEngine(energy::SystemEnergyModel(), 4)
+                                   .run(spec);
+  for (std::size_t ai = 0; ai < spec.apps.size(); ++ai) {
+    SCOPED_TRACE(testing::Message() << "app " << ai);
+    expect_bit_identical(serial.to_sweep_result(0, ai),
+                         parallel.to_sweep_result(0, ai));
+  }
+}
+
+TEST(ParallelSweep, RepeatedParallelRunsAreIdentical) {
+  expect_bit_identical(run_sweep(sweep_spec(), 8), run_sweep(sweep_spec(), 8));
+}
+
+TEST(ParallelSweep, MoreThreadsThanVoltagePointsIsSafe) {
+  CampaignSpec spec = sweep_spec();
+  spec.voltages = {0.7};
+  spec.repetitions = 3;
+  spec = spec.normalized();
+  expect_bit_identical(run_sweep(spec, 1), run_sweep(spec, 16));
+}
+
+TEST(ParallelSweep, FillsInDefaultVoltagesAndEmts) {
+  CampaignSpec spec = sweep_spec();
+  spec.voltages.clear();
+  spec.emts.clear();
+  spec.repetitions = 1;
+  spec = spec.normalized();
+  const sim::SweepResult result = run_sweep(spec, 2);
+  const CampaignSpec defaults = CampaignSpec{}.normalized();
+  EXPECT_EQ(result.config.voltages, defaults.voltages);
+  EXPECT_EQ(result.config.emts, defaults.emts);
+  EXPECT_EQ(result.points.size(),
+            defaults.voltages.size() * defaults.emts.size());
 }
 
 // Regression: generate_record names records <pathology>_s<seed>, which
@@ -376,6 +495,56 @@ TEST(ResultStore, BridgesToThePolicyExplorer) {
   const sim::PolicyResult policy = sim::explore_policy(sweep, 1.0);
   EXPECT_EQ(policy.points.size(), spec.emts.size());
   EXPECT_GT(policy.nominal_energy_j, 0.0);
+}
+
+TEST(ResultStore, SweepPointsAreTheMatchingAggregateRows) {
+  const CampaignSpec spec = tiny_spec();
+  const ResultStore store =
+      CampaignEngine(energy::SystemEnergyModel(), 2).run(spec);
+  const std::vector<AggregateRow> rows = store.aggregate();
+  const auto ber_model = mem::make_ber_model(spec.ber_model);
+  const std::size_t ne = spec.emts.size();
+  const std::size_t nv = spec.voltages.size();
+  for (std::size_t ri = 0; ri < spec.records.size(); ++ri) {
+    for (std::size_t ai = 0; ai < spec.apps.size(); ++ai) {
+      const sim::SweepResult sweep = store.to_sweep_result(ri, ai);
+      EXPECT_EQ(sweep.max_snr_db, store.max_snr_db(ri, ai));
+      EXPECT_EQ(sweep.config.voltages, spec.voltages);
+      EXPECT_EQ(sweep.config.emts, spec.emts);
+      ASSERT_EQ(sweep.points.size(), ne * nv);
+      for (std::size_t vi = 0; vi < nv; ++vi) {
+        for (std::size_t ei = 0; ei < ne; ++ei) {
+          SCOPED_TRACE(testing::Message() << "record " << ri << " app " << ai
+                                          << " emt " << ei << " v " << vi);
+          // Points run voltage-major, EMT-minor; rows run record, app,
+          // EMT, voltage.
+          const sim::SweepPoint& p = sweep.points[vi * ne + ei];
+          const AggregateRow& row = rows[((ri * spec.apps.size() + ai) * ne +
+                                          ei) * nv + vi];
+          EXPECT_EQ(row.record, spec.records[ri].label());
+          EXPECT_EQ(p.app, row.app);
+          EXPECT_EQ(p.app, spec.apps[ai]);
+          EXPECT_EQ(p.emt, row.emt);
+          EXPECT_EQ(p.emt, spec.emts[ei]);
+          EXPECT_EQ(p.voltage, row.voltage);
+          EXPECT_EQ(p.voltage, spec.voltages[vi]);
+          EXPECT_EQ(p.ber, ber_model->ber(row.voltage));
+          EXPECT_EQ(p.snr_mean_db, row.snr_mean_db);
+          EXPECT_EQ(p.snr_stddev_db, row.snr_stddev_db);
+          EXPECT_EQ(p.snr_min_db, row.snr_min_db);
+          EXPECT_EQ(p.snr_p10_db, row.snr_p10_db);
+          EXPECT_EQ(p.energy_mean_j, row.energy_mean_j);
+          EXPECT_EQ(p.energy_mean.data_dynamic_j, row.data_dynamic_j);
+          EXPECT_EQ(p.energy_mean.side_dynamic_j, row.side_dynamic_j);
+          EXPECT_EQ(p.energy_mean.codec_j, row.codec_j);
+          EXPECT_EQ(p.energy_mean.data_leak_j, row.data_leak_j);
+          EXPECT_EQ(p.energy_mean.side_leak_j, row.side_leak_j);
+          EXPECT_EQ(p.corrected_words_mean, row.corrected_mean);
+          EXPECT_EQ(p.detected_uncorrectable_mean, row.detected_mean);
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

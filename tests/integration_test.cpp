@@ -6,10 +6,10 @@
 
 #include "ulpdream/apps/app.hpp"
 #include "ulpdream/apps/dwt_app.hpp"
+#include "ulpdream/campaign/engine.hpp"
 #include "ulpdream/ecg/database.hpp"
 #include "ulpdream/sim/policy_explorer.hpp"
 #include "ulpdream/sim/runner.hpp"
-#include "ulpdream/sim/voltage_sweep.hpp"
 
 namespace ulpdream {
 namespace {
@@ -19,21 +19,28 @@ const ecg::Record& record() {
   return rec;
 }
 
-sim::SweepConfig fast_cfg() {
-  sim::SweepConfig cfg;
-  cfg.voltages = {0.5, 0.55, 0.6, 0.65, 0.7, 0.75, 0.8, 0.85, 0.9};
-  cfg.runs = 8;
-  cfg.seed = 7;
-  return cfg;
+// A DWT voltage sweep over the paper's EMTs on record()'s trace, run as a
+// campaign grid.
+campaign::CampaignSpec fast_cfg() {
+  campaign::CampaignSpec spec;
+  spec.apps = {"dwt"};
+  spec.emts = core::paper_emt_names();
+  spec.voltages = {0.5, 0.55, 0.6, 0.65, 0.7, 0.75, 0.8, 0.85, 0.9};
+  spec.records = {
+      campaign::RecordAxis{ecg::Pathology::kNormalSinus, 1.0, 2016}};
+  spec.repetitions = 8;
+  spec.seed = 7;
+  return spec;
+}
+
+sim::SweepResult run_sweep(const campaign::CampaignSpec& spec) {
+  return campaign::CampaignEngine().run(spec).to_sweep_result(0, 0);
 }
 
 TEST(Integration, ProtectionHelpsAtMidVoltages) {
   // Fig. 4 headline: in the 0.6-0.7 V band both EMTs massively outperform
   // no protection.
-  sim::ExperimentRunner runner;
-  const apps::DwtApp app;
-  const sim::SweepResult res =
-      sim::run_voltage_sweep(runner, app, record(), fast_cfg());
+  const sim::SweepResult res = run_sweep(fast_cfg());
   for (const double v : {0.6, 0.65, 0.7}) {
     const double none = res.find("none", v)->snr_mean_db;
     const double dream = res.find("dream", v)->snr_mean_db;
@@ -47,12 +54,9 @@ TEST(Integration, EccWinsMidRangeDreamWinsDeep) {
   // Paper Sec. VI-A: ECC slightly better in 0.55-0.65 V; below 0.55 V it
   // detects-but-not-corrects multi-bit words while DREAM keeps fixing
   // MSB runs. At the deepest point DREAM must not lose to ECC.
-  sim::ExperimentRunner runner;
-  const apps::DwtApp app;
-  sim::SweepConfig cfg = fast_cfg();
-  cfg.runs = 16;
-  const sim::SweepResult res =
-      sim::run_voltage_sweep(runner, app, record(), cfg);
+  campaign::CampaignSpec cfg = fast_cfg();
+  cfg.repetitions = 16;
+  const sim::SweepResult res = run_sweep(cfg);
   const double dream_050 = res.find("dream", 0.5)->snr_mean_db;
   const double ecc_050 =
       res.find("ecc_secded", 0.5)->snr_mean_db;
@@ -69,12 +73,9 @@ TEST(Integration, EccWinsMidRangeDreamWinsDeep) {
 TEST(Integration, EnergyOverheadHeadline) {
   // Sec. VI-B: ~55% (ECC) vs ~34% (DREAM) average energy overhead — the
   // 21% headline saving. Reproduced on a real application access trace.
-  sim::ExperimentRunner runner;
-  const apps::DwtApp app;
-  sim::SweepConfig cfg = fast_cfg();
-  cfg.runs = 2;
-  const sim::SweepResult res =
-      sim::run_voltage_sweep(runner, app, record(), cfg);
+  campaign::CampaignSpec cfg = fast_cfg();
+  cfg.repetitions = 2;
+  const sim::SweepResult res = run_sweep(cfg);
   double sum_none = 0.0;
   double sum_dream = 0.0;
   double sum_ecc = 0.0;
@@ -94,12 +95,9 @@ TEST(Integration, PolicySavingsOrdering) {
   // Sec. VI-C: under the clinical quality requirement, protection unlocks
   // deeper voltages whose net savings beat unprotected operation even
   // after paying the EMT overhead.
-  sim::ExperimentRunner runner;
-  const apps::DwtApp app;
-  sim::SweepConfig cfg = fast_cfg();
-  cfg.runs = 12;
-  const sim::SweepResult sweep =
-      sim::run_voltage_sweep(runner, app, record(), cfg);
+  campaign::CampaignSpec cfg = fast_cfg();
+  cfg.repetitions = 12;
+  const sim::SweepResult sweep = run_sweep(cfg);
   const sim::PolicyResult policy =
       sim::explore_policy(sweep, 40.0, sim::QualityCriterion::kAbsoluteSnr,
                           sim::QualityStatistic::kP10);

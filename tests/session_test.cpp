@@ -20,10 +20,6 @@
 #include "ulpdream/campaign/scenario.hpp"
 #include "ulpdream/campaign/session.hpp"
 #include "ulpdream/campaign/store_reader.hpp"
-#include "ulpdream/ecg/database.hpp"
-#include "ulpdream/sim/parallel_sweep.hpp"
-#include "ulpdream/sim/runner.hpp"
-#include "ulpdream/sim/voltage_sweep.hpp"
 
 namespace ulpdream::campaign {
 namespace {
@@ -400,44 +396,6 @@ TEST(Session, ScenarioRunToPersistsInEitherFormatAndReopensIdentically) {
   EXPECT_EQ(save_bytes(text.materialize()), save_bytes(text_store));
   EXPECT_EQ(save_bytes(col.materialize()), save_bytes(text_store));
   std::filesystem::remove_all(dir);
-}
-
-TEST(Session, SweepsShareTheSessionPoolWithRunningCampaigns) {
-  // A voltage sweep scheduled onto the session's pool while a campaign
-  // is in flight: both must match their isolated serial baselines.
-  const ecg::Record record = ecg::make_default_record(29);
-  sim::SweepConfig cfg;
-  cfg.voltages = {0.6, 0.7, 0.8};
-  cfg.runs = 4;
-  cfg.emts = {"none", "dream"};
-  const auto app = apps::make_app("dwt");
-
-  sim::ExperimentRunner serial_runner;
-  const sim::SweepResult serial =
-      sim::run_voltage_sweep(serial_runner, *app, record, cfg);
-  const CampaignSpec spec = small_spec(2016);
-  const std::string reference = reference_bytes(spec);
-
-  Session session(energy::SystemEnergyModel(), 4);
-  const CampaignHandle in_flight = session.submit(spec);
-  const sim::ParallelSweepRunner runner(energy::SystemEnergyModel(), 4);
-  const sim::SweepResult shared = runner.run(session.pool(), *app, record, cfg);
-  const ResultStore store = in_flight.wait();
-
-  EXPECT_EQ(save_bytes(store), reference);
-  EXPECT_EQ(shared.max_snr_db, serial.max_snr_db);
-  ASSERT_EQ(shared.points.size(), serial.points.size());
-  for (std::size_t i = 0; i < serial.points.size(); ++i) {
-    SCOPED_TRACE(testing::Message() << "point " << i);
-    EXPECT_EQ(shared.points[i].emt, serial.points[i].emt);
-    EXPECT_EQ(shared.points[i].voltage, serial.points[i].voltage);
-    EXPECT_EQ(shared.points[i].snr_mean_db, serial.points[i].snr_mean_db);
-    EXPECT_EQ(shared.points[i].snr_stddev_db, serial.points[i].snr_stddev_db);
-    EXPECT_EQ(shared.points[i].snr_p10_db, serial.points[i].snr_p10_db);
-    EXPECT_EQ(shared.points[i].energy_mean_j, serial.points[i].energy_mean_j);
-    EXPECT_EQ(shared.points[i].corrected_words_mean,
-              serial.points[i].corrected_words_mean);
-  }
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "ulpdream/apps/dwt_app.hpp"
+#include "ulpdream/campaign/engine.hpp"
 #include "ulpdream/metrics/quality.hpp"
 #include "ulpdream/ecg/database.hpp"
 #include "ulpdream/sim/bit_significance.hpp"
@@ -87,29 +88,32 @@ TEST(BitSignificance, StuckAtOneMilderOnMsbs) {
   EXPECT_GT(res.snr_db[1][14], res.snr_db[0][14]);
 }
 
-SweepConfig tiny_sweep() {
-  SweepConfig cfg;
-  cfg.voltages = {0.5, 0.7, 0.9};
-  cfg.runs = 4;
-  cfg.emts = core::paper_emt_names();
-  return cfg;
+// Voltage sweeps run as campaign grids on the test record.
+campaign::CampaignSpec tiny_sweep() {
+  campaign::CampaignSpec spec;
+  spec.apps = {"dwt"};
+  spec.emts = core::paper_emt_names();
+  spec.voltages = {0.5, 0.7, 0.9};
+  spec.records = {
+      campaign::RecordAxis{ecg::Pathology::kNormalSinus, 1.0, 29}};
+  spec.repetitions = 4;
+  return spec;
+}
+
+SweepResult run_sweep(const campaign::CampaignSpec& spec,
+                      std::size_t app_index = 0) {
+  return campaign::CampaignEngine().run(spec).to_sweep_result(0, app_index);
 }
 
 TEST(VoltageSweep, ProducesAllPoints) {
-  ExperimentRunner runner;
-  const apps::DwtApp app;
-  const SweepResult res =
-      run_voltage_sweep(runner, app, test_record(), tiny_sweep());
+  const SweepResult res = run_sweep(tiny_sweep());
   EXPECT_EQ(res.points.size(), 3u * 3u);
   EXPECT_NE(res.find("dream", 0.7), nullptr);
   EXPECT_EQ(res.find("dream", 0.62), nullptr);
 }
 
 TEST(VoltageSweep, SnrDegradesAsVoltageDrops) {
-  ExperimentRunner runner;
-  const apps::DwtApp app;
-  const SweepResult res =
-      run_voltage_sweep(runner, app, test_record(), tiny_sweep());
+  const SweepResult res = run_sweep(tiny_sweep());
   for (const std::string& emt : core::paper_emt_names()) {
     const SweepPoint* hi = res.find(emt, 0.9);
     const SweepPoint* lo = res.find(emt, 0.5);
@@ -120,10 +124,7 @@ TEST(VoltageSweep, SnrDegradesAsVoltageDrops) {
 }
 
 TEST(VoltageSweep, NominalVoltageIsErrorFree) {
-  ExperimentRunner runner;
-  const apps::DwtApp app;
-  const SweepResult res =
-      run_voltage_sweep(runner, app, test_record(), tiny_sweep());
+  const SweepResult res = run_sweep(tiny_sweep());
   const SweepPoint* p = res.find("none", 0.9);
   ASSERT_NE(p, nullptr);
   // BER(0.9) = 1e-9 on ~360k cells: fault-free with overwhelming
@@ -132,10 +133,7 @@ TEST(VoltageSweep, NominalVoltageIsErrorFree) {
 }
 
 TEST(VoltageSweep, EnergyOrderingNoneDreamEcc) {
-  ExperimentRunner runner;
-  const apps::DwtApp app;
-  const SweepResult res =
-      run_voltage_sweep(runner, app, test_record(), tiny_sweep());
+  const SweepResult res = run_sweep(tiny_sweep());
   for (const double v : {0.5, 0.7, 0.9}) {
     const double e_none = res.find("none", v)->energy_mean_j;
     const double e_dream = res.find("dream", v)->energy_mean_j;
@@ -146,25 +144,21 @@ TEST(VoltageSweep, EnergyOrderingNoneDreamEcc) {
 }
 
 TEST(VoltageSweep, MultiAppSharesConfig) {
-  ExperimentRunner runner;
-  const apps::DwtApp dwt;
-  const auto morph = apps::make_app("morph_filter");
-  const std::vector<const apps::BioApp*> list = {&dwt, morph.get()};
-  const auto results =
-      run_voltage_sweep_multi(runner, list, test_record(), tiny_sweep());
-  ASSERT_EQ(results.size(), 2u);
-  EXPECT_EQ(results[0].points.front().app, "dwt");
-  EXPECT_EQ(results[1].points.front().app, "morph_filter");
+  campaign::CampaignSpec spec = tiny_sweep();
+  spec.apps = {"dwt", "morph_filter"};
+  const campaign::ResultStore store = campaign::CampaignEngine().run(spec);
+  const SweepResult dwt = store.to_sweep_result(0, 0);
+  const SweepResult morph = store.to_sweep_result(0, 1);
+  EXPECT_EQ(dwt.points.front().app, "dwt");
+  EXPECT_EQ(morph.points.front().app, "morph_filter");
+  EXPECT_EQ(dwt.config.voltages, morph.config.voltages);
 }
 
 TEST(PolicyExplorer, DerivesFeasiblePolicy) {
-  ExperimentRunner runner;
-  const apps::DwtApp app;
-  SweepConfig cfg;
-  cfg.voltages = {0.5, 0.55, 0.6, 0.65, 0.7, 0.75, 0.8, 0.85, 0.9};
-  cfg.runs = 12;
-  const SweepResult sweep =
-      run_voltage_sweep(runner, app, test_record(), cfg);
+  campaign::CampaignSpec spec = tiny_sweep();
+  spec.voltages = {0.5, 0.55, 0.6, 0.65, 0.7, 0.75, 0.8, 0.85, 0.9};
+  spec.repetitions = 12;
+  const SweepResult sweep = run_sweep(spec);
 
   // Relative criterion (the paper's -1 dB form): sanity of the structure.
   const PolicyResult relative = explore_policy(sweep, 1.0);

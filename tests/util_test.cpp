@@ -18,7 +18,6 @@
 
 #include "ulpdream/util/cli.hpp"
 #include "ulpdream/util/socket.hpp"
-#include "ulpdream/util/parallel.hpp"
 #include "ulpdream/util/rng.hpp"
 #include "ulpdream/util/stats.hpp"
 #include "ulpdream/util/table.hpp"
@@ -451,27 +450,6 @@ TEST(WorkPool, IdleWorkersParkWithoutBurningCpu) {
     return [&](std::size_t) { ++ran; };
   });
   EXPECT_EQ(ran.load(), static_cast<int>(kThreads));
-}
-
-TEST(WorkPool, ParallelForIndexWrapperMatchesInlineExecution) {
-  constexpr std::size_t kCount = 40;
-  for (const unsigned threads : {1u, 4u}) {
-    std::vector<std::atomic<int>> hits(kCount);
-    parallel_for_index(kCount, threads, [&] {
-      return [&](std::size_t i) { ++hits[i]; };
-    });
-    for (std::size_t i = 0; i < kCount; ++i) {
-      EXPECT_EQ(hits[i].load(), 1) << "threads=" << threads;
-    }
-  }
-  EXPECT_THROW(
-      parallel_for_index(4, 4,
-                         [] {
-                           return [](std::size_t) {
-                             throw std::runtime_error("fail");
-                           };
-                         }),
-      std::runtime_error);
 }
 
 // ---------------------------------------------------------------------------
