@@ -73,8 +73,8 @@ inline constexpr char kColumnarMagic[8] = {'U', 'L', 'P', 'D',
 class ColumnarStore {
  public:
   struct OpenOptions {
-    /// Prefer mmap (zero-copy). Off — or with ULPDREAM_DISABLE_MMAP set —
-    /// the portable read-into-buffer fallback is used instead.
+    /// Prefer mmap (zero-copy). Off, the portable read-into-buffer
+    /// fallback is used instead.
     bool allow_mmap = true;
     /// Bounded-memory mode: never map or buffer the whole file; stream
     /// everything (index included) through an LRU chunk cache of

@@ -13,6 +13,10 @@
 // the intact safe word. The split mirrors the hardware cost asymmetry that
 // drives the paper's energy result: payload bits pay scaled-memory energy
 // per access, safe bits pay nominal-voltage energy per access.
+//
+// An EMT is identified by its registered name alone ("none", "dream",
+// "ecc_secded", "dream_secded" or a user registration; see
+// core::emt_registry() in factory.hpp).
 
 #include <cstdint>
 #include <span>
@@ -21,24 +25,6 @@
 #include "ulpdream/fixed/sample.hpp"
 
 namespace ulpdream::core {
-
-/// Legacy identity of the four built-in EMTs. The library itself is
-/// name-addressed (see core::emt_registry() in factory.hpp); this enum
-/// survives only as an optional descriptor *tag* for stats code that
-/// still groups by it (codec area tables, the codec_energy shim). EMTs
-/// registered from outside src/ have no kind — they exist purely by name.
-enum class EmtKind : std::uint8_t {
-  kNone = 0,
-  kDream,
-  kEccSecDed,
-  /// DREAM + SEC/DED hybrid — the multi-error extension for < 0.55 V
-  /// operation the paper's conclusion calls for (not part of the paper's
-  /// own evaluation; see bench_ablations / bench_deep_voltage).
-  kDreamSecDed,
-};
-
-/// Registered name of a built-in kind (registry descriptor lookup).
-[[nodiscard]] std::string emt_kind_name(EmtKind kind);
 
 /// Decode-side observability: how often the technique corrected or gave up.
 struct CodecCounters {

@@ -2,8 +2,6 @@
 
 #include <cmath>
 
-#include "ulpdream/core/factory.hpp"
-
 namespace ulpdream::energy {
 
 double MemoryEnergyParams::dynamic_j(double v, int bits,
@@ -26,10 +24,6 @@ double MemoryEnergyParams::leak_power_w(double v, int bits, std::size_t words,
 
 CodecEnergyParams codec_energy(const core::Emt& emt) {
   return {emt.encode_energy_pj(), emt.decode_energy_pj()};
-}
-
-CodecEnergyParams codec_energy(core::EmtKind kind) {
-  return codec_energy(*core::make_emt(kind));
 }
 
 EnergyBreakdown SystemEnergyModel::compute(const core::Emt& emt, double v,

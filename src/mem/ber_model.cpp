@@ -41,14 +41,12 @@ util::Registry<BerModel>& ber_model_registry() {
         "log-linear", [] { return std::make_unique<LogLinearBerModel>(); },
         {"Log-linear BER(V)",
          "log10(BER) linear in V, calibrated to the 0.5-0.9 V window",
-         {util::kCapPaper},
-         static_cast<int>(BerModelKind::kLogLinear)});
+         {util::kCapPaper}});
     registry.register_factory(
         "probit", [] { return std::make_unique<ProbitBerModel>(); },
         {"Probit BER(V)",
          "erfc cell-failure model from Gaussian Vth variation (D2 ablation)",
-         {util::kCapExtendedTier},
-         static_cast<int>(BerModelKind::kProbit)});
+         {util::kCapExtendedTier}});
     return true;
   }();
   (void)built_ins;
@@ -61,14 +59,6 @@ std::unique_ptr<BerModel> make_ber_model(const std::string& name) {
 
 std::vector<std::string> ber_model_names() {
   return ber_model_registry().names();
-}
-
-std::string ber_model_kind_name(BerModelKind kind) {
-  return ber_model_registry().name_by_tag(static_cast<int>(kind));
-}
-
-std::unique_ptr<BerModel> make_ber_model(BerModelKind kind) {
-  return make_ber_model(ber_model_kind_name(kind));
 }
 
 }  // namespace ulpdream::mem

@@ -81,14 +81,4 @@ class ProbitBerModel final : public BerModel {
 /// All registered model names, built-ins first.
 [[nodiscard]] std::vector<std::string> ber_model_names();
 
-// --- legacy enum shims -----------------------------------------------------
-
-/// Survives only as a descriptor tag for code that still switches on it.
-enum class BerModelKind { kLogLinear, kProbit };
-
-/// Registered name of a built-in kind (registry descriptor lookup).
-[[nodiscard]] std::string ber_model_kind_name(BerModelKind kind);
-
-[[nodiscard]] std::unique_ptr<BerModel> make_ber_model(BerModelKind kind);
-
 }  // namespace ulpdream::mem

@@ -40,7 +40,7 @@ class ExperimentRunner {
 
   /// The SNR reference for (app, record): the app's double-precision
   /// golden model when it has one, otherwise the error-free fixed-point
-  /// run. Cached per (app kind, record name).
+  /// run. Cached per (app name, record name).
   [[nodiscard]] const std::vector<double>& reference(
       const apps::BioApp& app, const ecg::Record& record);
 
@@ -56,13 +56,6 @@ class ExperimentRunner {
   [[nodiscard]] RunResult run_once(const apps::BioApp& app,
                                    const ecg::Record& record,
                                    const std::string& emt_name,
-                                   const mem::FaultMap* faults, double v);
-
-  /// Legacy convenience: run with a kind (instantiates the built-in EMT
-  /// tagged with it).
-  [[nodiscard]] RunResult run_once(const apps::BioApp& app,
-                                   const ecg::Record& record,
-                                   core::EmtKind kind,
                                    const mem::FaultMap* faults, double v);
 
   /// Maximum SNR ("dashed line" of Fig. 4): error-free fixed-point run

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <stdexcept>
 #include <utility>
 
@@ -25,11 +24,6 @@ namespace {
 
 }  // namespace
 
-bool mmap_disabled_by_env() {
-  const char* v = std::getenv("ULPDREAM_DISABLE_MMAP");
-  return v != nullptr && v[0] != '\0' && !(v[0] == '0' && v[1] == '\0');
-}
-
 // ---------------------------------------------------------------------------
 // FileView.
 
@@ -37,7 +31,7 @@ FileView FileView::open(const std::string& path, bool allow_mmap) {
   FileView view;
   view.path_ = path;
 #if ULPDREAM_POSIX_IO
-  if (allow_mmap && !mmap_disabled_by_env()) {
+  if (allow_mmap) {
     const int fd = ::open(path.c_str(), O_RDONLY);
     if (fd < 0) io_fail(path, "cannot open");
     struct stat st{};

@@ -5,9 +5,9 @@
 // FileView — whole-file random access behind one pointer. On POSIX the
 // file is memory-mapped read-only (zero-copy: opening costs no heap and
 // no read of the payload; pages fault in on first touch and stay
-// reclaimable page cache). Everywhere else — or when mmap fails or is
-// disabled with the ULPDREAM_DISABLE_MMAP env kill switch — it degrades
-// to the portable fallback: read the whole file into a heap buffer. Every
+// reclaimable page cache). Everywhere else — or when mmap fails or the
+// caller passes allow_mmap = false — it degrades to the portable
+// fallback: read the whole file into a heap buffer. Every
 // accessor is bounds-checked against the real file size and throws a
 // std::runtime_error naming the path, so a truncated or lying file can
 // never cause a read off the end of the mapping.
@@ -37,12 +37,6 @@
 
 namespace ulpdream::util {
 
-/// True when the ULPDREAM_DISABLE_MMAP environment variable is set to a
-/// non-empty, non-"0" value — the runtime kill switch that forces every
-/// FileView onto the portable buffered fallback (used by tests and by
-/// deployments where mapping is undesirable).
-[[nodiscard]] bool mmap_disabled_by_env();
-
 class FileView {
  public:
   enum class Backing {
@@ -52,8 +46,7 @@ class FileView {
 
   FileView() = default;
   /// Opens `path` read-only. Prefers mmap when `allow_mmap` and the
-  /// platform supports it (and the env kill switch is off); otherwise
-  /// reads the file into a buffer. Throws std::runtime_error naming the
+  /// platform supports it; otherwise reads the file into a buffer. Throws std::runtime_error naming the
   /// path on any I/O failure.
   [[nodiscard]] static FileView open(const std::string& path,
                                      bool allow_mmap = true);

@@ -15,10 +15,10 @@ core::MemorySystem clean_system() {
 }
 
 TEST(ClassifierApp, FactoryIntegration) {
-  const auto app = make_app(AppKind::kHeartbeatClassifier);
+  const auto app = make_app("heartbeat_classifier");
   EXPECT_EQ(app->name(), "heartbeat_classifier");
-  EXPECT_EQ(extended_app_kinds().size(), 6u);
-  EXPECT_EQ(all_app_kinds().size(), 5u);  // the paper's set is unchanged
+  EXPECT_EQ(app_names().size(), 6u);
+  EXPECT_EQ(paper_app_names().size(), 5u);  // the paper's set is unchanged
 }
 
 TEST(ClassifierApp, NormalSinusMostlyNormalBeats) {
@@ -78,11 +78,11 @@ TEST(ClassifierApp, QualitativeOutputToleratesModerateFaults) {
   auto clean_sys = clean_system();
   const auto clean = app.run(clean_sys, rec);
 
-  const auto ber = mem::make_ber_model(mem::BerModelKind::kLogLinear);
+  const auto ber = mem::make_ber_model("log-linear");
   util::Xoshiro256 rng(5);
   std::size_t agree = 0;
   const std::size_t trials = 10;
-  const auto dream = core::make_emt(core::EmtKind::kDream);
+  const auto dream = core::make_emt("dream");
   for (std::size_t t = 0; t < trials; ++t) {
     const mem::FaultMap map = mem::FaultMap::random(
         mem::MemoryGeometry::kWords16, 22, ber->ber(0.70), rng);

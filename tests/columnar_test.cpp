@@ -8,7 +8,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -19,7 +18,6 @@
 #include "ulpdream/campaign/result_store.hpp"
 #include "ulpdream/campaign/spec.hpp"
 #include "ulpdream/campaign/store_reader.hpp"
-#include "ulpdream/util/file_view.hpp"
 
 namespace ulpdream::campaign {
 namespace {
@@ -273,23 +271,6 @@ TEST(Columnar, BufferedFallbackAndBoundedModeMatchTheMappedPath) {
   std::ostringstream expected;
   store.save(expected);
   EXPECT_EQ(bytes.str(), expected.str());
-}
-
-TEST(Columnar, EnvKillSwitchForcesTheBufferedFallback) {
-  const CampaignSpec spec = test_spec();
-  TempDir dir;
-  const std::string path = dir.file("full.col");
-  full_store(spec).save_columnar(path);
-
-  ::setenv("ULPDREAM_DISABLE_MMAP", "1", 1);
-  EXPECT_TRUE(util::mmap_disabled_by_env());
-  const ColumnarStore col = ColumnarStore::open(path, spec);
-  ::unsetenv("ULPDREAM_DISABLE_MMAP");
-  EXPECT_FALSE(util::mmap_disabled_by_env());
-
-  EXPECT_FALSE(col.mapped());
-  expect_rows_identical(col.aggregate(),
-                        full_store(spec).aggregate());
 }
 
 // ---------------------------------------------------------------------------

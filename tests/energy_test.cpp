@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "ulpdream/core/factory.hpp"
 #include "ulpdream/energy/area_model.hpp"
 #include "ulpdream/energy/energy_model.hpp"
@@ -54,9 +56,9 @@ TEST(MemoryEnergyParams, NominalLeakageMatchesCalibration) {
 }
 
 TEST(CodecEnergy, OrderingNoneDreamEcc) {
-  const auto none = codec_energy(core::EmtKind::kNone);
-  const auto dream = codec_energy(core::EmtKind::kDream);
-  const auto ecc = codec_energy(core::EmtKind::kEccSecDed);
+  const auto none = codec_energy(*core::make_emt("none"));
+  const auto dream = codec_energy(*core::make_emt("dream"));
+  const auto ecc = codec_energy(*core::make_emt("ecc_secded"));
   EXPECT_EQ(none.encode_pj, 0.0);
   EXPECT_EQ(none.decode_pj, 0.0);
   EXPECT_GT(dream.decode_pj, 0.0);
@@ -66,7 +68,7 @@ TEST(CodecEnergy, OrderingNoneDreamEcc) {
 
 TEST(SystemEnergyModel, BreakdownComponentsPopulated) {
   const SystemEnergyModel model;
-  const auto dream = core::make_emt(core::EmtKind::kDream);
+  const auto dream = core::make_emt("dream");
   const mem::AccessStats data = make_stats(1000, 1000);
   const mem::AccessStats side = make_stats(1000, 1000);
   const EnergyBreakdown e =
@@ -84,7 +86,7 @@ TEST(SystemEnergyModel, BreakdownComponentsPopulated) {
 
 TEST(SystemEnergyModel, NoProtectionHasNoOverheadComponents) {
   const SystemEnergyModel model;
-  const auto none = core::make_emt(core::EmtKind::kNone);
+  const auto none = core::make_emt("none");
   const mem::AccessStats data = make_stats(500, 500);
   const EnergyBreakdown e =
       model.compute(*none, 0.7, data, nullptr, 16384, 2000);
@@ -95,7 +97,7 @@ TEST(SystemEnergyModel, NoProtectionHasNoOverheadComponents) {
 
 TEST(SystemEnergyModel, TotalEnergyDecreasesWithVoltage) {
   const SystemEnergyModel model;
-  const auto none = core::make_emt(core::EmtKind::kNone);
+  const auto none = core::make_emt("none");
   const mem::AccessStats data = make_stats(1000, 1000);
   double prev = 1e9;
   for (double v = 0.9; v >= 0.5 - 1e-9; v -= 0.05) {
@@ -111,9 +113,9 @@ TEST(SystemEnergyModel, PaperOverheadCalibration) {
   // protection overhead vs no protection is ~34% (DREAM) and ~55% (ECC),
   // i.e. DREAM saves ~21 points of overhead.
   const SystemEnergyModel model;
-  const auto none = core::make_emt(core::EmtKind::kNone);
-  const auto dream = core::make_emt(core::EmtKind::kDream);
-  const auto ecc = core::make_emt(core::EmtKind::kEccSecDed);
+  const auto none = core::make_emt("none");
+  const auto dream = core::make_emt("dream");
+  const auto ecc = core::make_emt("ecc_secded");
   const mem::AccessStats data = make_stats(100000, 100000);
   const mem::AccessStats side = make_stats(100000, 100000);
 
@@ -139,20 +141,21 @@ TEST(SystemEnergyModel, PaperOverheadCalibration) {
 }
 
 TEST(AreaModel, PaperRatios) {
-  const CodecArea dream = codec_area(core::EmtKind::kDream);
-  const CodecArea ecc = codec_area(core::EmtKind::kEccSecDed);
+  const CodecArea dream = codec_area("dream");
+  const CodecArea ecc = codec_area("ecc_secded");
   EXPECT_NEAR(ecc.encoder_ge / dream.encoder_ge, 1.28, 1e-9);
   EXPECT_NEAR(ecc.decoder_ge / dream.decoder_ge, 2.20, 1e-9);
-  EXPECT_EQ(codec_area(core::EmtKind::kNone).total_ge(), 0.0);
+  EXPECT_EQ(codec_area("none").total_ge(), 0.0);
+  EXPECT_THROW((void)codec_area("no_such_emt"), std::invalid_argument);
 }
 
 TEST(AreaModel, ExtraBitsFormula2) {
-  EXPECT_EQ(extra_bits_per_word(core::EmtKind::kNone), 0);
-  EXPECT_EQ(extra_bits_per_word(core::EmtKind::kDream), 5);
-  EXPECT_EQ(extra_bits_per_word(core::EmtKind::kEccSecDed), 6);
-  EXPECT_NEAR(memory_area_overhead(core::EmtKind::kDream), 5.0 / 16.0,
+  EXPECT_EQ(core::make_emt("none")->extra_bits(), 0);
+  EXPECT_EQ(core::make_emt("dream")->extra_bits(), 5);
+  EXPECT_EQ(core::make_emt("ecc_secded")->extra_bits(), 6);
+  EXPECT_NEAR(memory_area_overhead(*core::make_emt("dream")), 5.0 / 16.0,
               1e-12);
-  EXPECT_NEAR(memory_area_overhead(core::EmtKind::kEccSecDed), 6.0 / 16.0,
+  EXPECT_NEAR(memory_area_overhead(*core::make_emt("ecc_secded")), 6.0 / 16.0,
               1e-12);
 }
 
@@ -161,8 +164,8 @@ class VoltageSweepEnergy : public ::testing::TestWithParam<double> {};
 TEST_P(VoltageSweepEnergy, DreamCheaperThanEccAtEveryVoltage) {
   const double v = GetParam();
   const SystemEnergyModel model;
-  const auto dream = core::make_emt(core::EmtKind::kDream);
-  const auto ecc = core::make_emt(core::EmtKind::kEccSecDed);
+  const auto dream = core::make_emt("dream");
+  const auto ecc = core::make_emt("ecc_secded");
   const mem::AccessStats data = make_stats(50000, 50000);
   const mem::AccessStats side = make_stats(50000, 50000);
   const double e_dream =

@@ -47,8 +47,8 @@ TEST(BerModel, ProbitHalfAtV50) {
 }
 
 TEST(BerModel, FactoryProducesBothKinds) {
-  EXPECT_EQ(make_ber_model(BerModelKind::kLogLinear)->name(), "log-linear");
-  EXPECT_EQ(make_ber_model(BerModelKind::kProbit)->name(), "probit");
+  EXPECT_EQ(make_ber_model("log-linear")->name(), "log-linear");
+  EXPECT_EQ(make_ber_model("probit")->name(), "probit");
 }
 
 TEST(BerModel, RejectsBadParameters) {
