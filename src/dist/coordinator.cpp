@@ -27,7 +27,6 @@ struct DistCounters {
   telemetry::Counter ingest_bytes{"dist.ingest_bytes"};
   telemetry::Counter shards_ingested{"dist.shards_ingested"};
   telemetry::Counter protocol_errors{"dist.protocol_errors"};
-  telemetry::Gauge workers_connected{"dist.workers_connected"};
   telemetry::Gauge items_done{"dist.items_done"};
 };
 
@@ -44,75 +43,18 @@ Coordinator::Coordinator(campaign::CampaignSpec spec, Options options)
       fingerprint_(spec_.fingerprint()),
       table_(spec_.item_count(),
              options_.lease_items == 0 ? 1 : options_.lease_items,
-             std::chrono::milliseconds(options_.lease_ttl_ms)) {
+             std::chrono::milliseconds(options_.lease_ttl_ms)),
+      server_(options_.listen.empty() ? util::Listener()
+                                      : util::Listener::open(options_.listen),
+              [this](util::Socket& socket) { handle_connection(socket); },
+              "dist.workers_connected") {
   if (options_.spool_dir.empty()) {
     throw std::invalid_argument("Coordinator: spool_dir must be set");
   }
   if (options_.store_out.empty()) {
     throw std::invalid_argument("Coordinator: store_out must be set");
   }
-  if (options_.max_frame_bytes == 0) {
-    options_.max_frame_bytes = kMaxFrameBytes;
-  }
   std::filesystem::create_directories(options_.spool_dir);
-  if (!options_.listen.empty()) {
-    listener_ = util::Listener::open(options_.listen);
-    endpoint_ = listener_.endpoint();
-  }
-}
-
-Coordinator::~Coordinator() {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    stopping_ = true;
-  }
-  listener_.close();
-  cv_.notify_all();
-  for (std::thread& t : handlers_) {
-    if (t.joinable()) t.join();
-  }
-}
-
-void Coordinator::adopt(util::Socket socket) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (stopping_) return;
-  ++connections_open_;
-  counters().workers_connected.set(static_cast<double>(connections_open_));
-  handlers_.emplace_back([this, s = std::move(socket)]() mutable {
-    handle_connection(std::move(s));
-  });
-}
-
-void Coordinator::accept_loop() {
-  for (;;) {
-    util::Socket socket;
-    try {
-      socket = listener_.accept();
-    } catch (const util::SocketError&) {
-      return;  // listener closed — serve() is draining
-    }
-    adopt(std::move(socket));
-  }
-}
-
-void Coordinator::sweeper_loop() {
-  const auto period = std::chrono::milliseconds(
-      std::max<std::size_t>(1, options_.lease_ttl_ms / 4));
-  std::unique_lock<std::mutex> lock(mutex_);
-  while (!stopping_) {
-    cv_.wait_for(lock, period);
-    if (stopping_) return;
-    const auto expired = table_.expire_due(LeaseTable::Clock::now());
-    if (!expired.empty()) {
-      report_.leases_expired += expired.size();
-      counters().leases_expired.add(expired.size());
-      for (const auto& lease : expired) {
-        util::log_warn("dist: lease ", lease.id, " [", lease.begin, ", ",
-                       lease.end, ") of ", lease.owner,
-                       " expired; re-leasing");
-      }
-    }
-  }
 }
 
 void Coordinator::ingest(std::uint64_t lease_id,
@@ -157,57 +99,49 @@ void Coordinator::ingest(std::uint64_t lease_id,
 }
 
 /// The per-connection conversation: HELLO handshake, then the worker's
-/// request/response loop until Goodbye, EOF, or a transport/protocol
-/// failure — every exit path revokes the peer's leases and drops the
-/// connection count.
-void Coordinator::handle_connection(util::Socket socket) {
+/// request/response loop until Goodbye, EOF (the drain's included), or a
+/// transport/protocol failure — every exit path revokes the peer's
+/// leases.
+void Coordinator::handle_connection(util::Socket& socket) {
   const std::string peer = socket.peer();
   std::string owner = peer;
   bool accepted = false;
-  // A peer silent longer than the TTL is not heartbeating its leases;
-  // time the read out so the handler can revoke and exit instead of
-  // blocking forever on a wedged connection.
-  socket.set_recv_timeout(options_.lease_ttl_ms * 2);
   try {
+    // A peer silent longer than the TTL is not heartbeating its leases;
+    // time the read out so the handler can revoke and exit instead of
+    // blocking forever on a wedged connection.
+    socket.set_recv_timeout(options_.lease_ttl_ms * 2);
     util::Frame frame;
-    bool open = receive(socket, frame, options_.max_frame_bytes);
+    bool open = receive(socket, frame);
     if (open) {
       const Hello hello = decode_hello(frame, peer);
       owner =
           hello.worker_name.empty() ? peer : hello.worker_name + "@" + peer;
+      std::string reject;
       if (hello.version != kProtocolVersion) {
-        {
-          std::lock_guard<std::mutex> lock(mutex_);
-          ++report_.workers_rejected;
-        }
-        send(socket,
-             HelloReject{"protocol version mismatch: coordinator speaks " +
-                         std::to_string(kProtocolVersion) +
-                         ", worker sent " + std::to_string(hello.version)});
-        open = false;
+        reject = "protocol version mismatch: coordinator speaks " +
+                 std::to_string(kProtocolVersion) + ", worker sent " +
+                 std::to_string(hello.version);
       } else if (hello.fingerprint != fingerprint_) {
-        {
-          std::lock_guard<std::mutex> lock(mutex_);
-          ++report_.workers_rejected;
-        }
-        send(socket, HelloReject{
-                         "campaign fingerprint mismatch: coordinator has "
-                         "\"" +
-                         fingerprint_ + "\", worker sent \"" +
-                         hello.fingerprint + "\""});
-        open = false;
-      } else {
-        {
-          std::lock_guard<std::mutex> lock(mutex_);
-          ++report_.workers_seen;
-        }
-        accepted = true;
+        reject = "campaign fingerprint mismatch: coordinator has \"" +
+                 fingerprint_ + "\", worker sent \"" + hello.fingerprint +
+                 "\"";
+      }
+      accepted = reject.empty();
+      {
+        std::lock_guard<std::mutex> lock(mutex_);
+        ++(accepted ? report_.workers_seen : report_.workers_rejected);
+      }
+      if (accepted) {
         send(socket, HelloOk{spec_.item_count(), options_.lease_items,
                              options_.heartbeat_ms});
+      } else {
+        send(socket, HelloReject{reject});
       }
+      open = accepted;
     }
 
-    while (open && receive(socket, frame, options_.max_frame_bytes)) {
+    while (open && !server_.draining() && receive(socket, frame)) {
       switch (static_cast<MsgType>(frame.type)) {
         case MsgType::kLeaseRequest: {
           LeaseTable::Lease lease;
@@ -274,53 +208,38 @@ void Coordinator::handle_connection(util::Socket socket) {
     util::log_warn("dist: connection ", peer, " failed: ", e.what());
   }
 
+  if (!accepted) return;
   std::lock_guard<std::mutex> lock(mutex_);
-  if (accepted) {
-    const auto revoked = table_.revoke_owner(owner);
-    if (!revoked.empty()) {
-      report_.leases_revoked += revoked.size();
-      counters().leases_revoked.add(revoked.size());
-      for (const auto& lease : revoked) {
-        util::log_warn("dist: worker ", owner, " left holding lease ",
-                       lease.id, " [", lease.begin, ", ", lease.end,
-                       "); re-leasing");
-      }
-    }
+  const auto revoked = table_.revoke_owner(owner);
+  report_.leases_revoked += revoked.size();
+  counters().leases_revoked.add(revoked.size());
+  for (const auto& lease : revoked) {
+    util::log_warn("dist: worker ", owner, " left holding lease ", lease.id,
+                   " [", lease.begin, ", ", lease.end, "); re-leasing");
   }
-  --connections_open_;
-  counters().workers_connected.set(static_cast<double>(connections_open_));
-  cv_.notify_all();
 }
 
 Coordinator::Report Coordinator::serve() {
-  std::thread sweeper([this] { sweeper_loop(); });
-  std::thread acceptor;
-  if (listener_.valid()) {
-    acceptor = std::thread([this] { accept_loop(); });
-  }
-
+  server_.start();
   {
-    // Campaign completion: every item credited done.
+    // Campaign completion: every item credited done. Each period without
+    // it returns the leases past their TTL to the pool.
+    const auto period = std::chrono::milliseconds(
+        std::max<std::size_t>(1, options_.lease_ttl_ms / 4));
     std::unique_lock<std::mutex> lock(mutex_);
-    cv_.wait(lock, [this] { return table_.all_done() || stopping_; });
-    // Grace period for connected workers to collect their NoWork{done},
-    // ship metrics and say goodbye; then cut stragglers off.
-    cv_.wait_for(lock, std::chrono::milliseconds(options_.heartbeat_ms * 4),
-                 [this] { return connections_open_ == 0; });
-    stopping_ = true;
+    while (!cv_.wait_for(lock, period, [this] { return table_.all_done(); })) {
+      const auto expired = table_.expire_due(LeaseTable::Clock::now());
+      report_.leases_expired += expired.size();
+      counters().leases_expired.add(expired.size());
+      for (const auto& lease : expired) {
+        util::log_warn("dist: lease ", lease.id, " [", lease.begin, ", ",
+                       lease.end, ") of ", lease.owner, " expired; re-leasing");
+      }
+    }
   }
-  listener_.close();
-  cv_.notify_all();
-  if (acceptor.joinable()) acceptor.join();
-  sweeper.join();
-  std::vector<std::thread> handlers;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    handlers.swap(handlers_);
-  }
-  for (std::thread& t : handlers) {
-    if (t.joinable()) t.join();
-  }
+  // Grace period for connected workers to collect their NoWork{done},
+  // ship metrics and say goodbye; then cut stragglers off.
+  server_.drain(std::chrono::milliseconds(options_.heartbeat_ms * 4));
 
   Report report;
   std::vector<std::string> spooled;

@@ -5,9 +5,9 @@
 // publishes the single merged store. Fault tolerance is structural, not
 // bolted on:
 //
-//  - leases carry a TTL renewed by heartbeats; a sweeper returns expired
-//    leases to the pool, so a SIGKILL'd or wedged worker merely delays
-//    its range;
+//  - leases carry a TTL renewed by heartbeats; serve() returns expired
+//    leases to the pool while it waits for completion, so a SIGKILL'd or
+//    wedged worker merely delays its range;
 //  - a disconnect revokes everything the peer held (same path);
 //  - a *stale* result — the original worker finishing a lease that
 //    already expired and was re-granted — is still ingested; the store
@@ -20,22 +20,26 @@
 // interval-based (LeaseTable), shard payloads are spooled straight to
 // disk, and the final merge streams through bounded buffers.
 //
-// Threading: serve() runs an accept loop (when listening), one handler
-// thread per connection, and a lease-expiry sweeper. One mutex guards
-// the lease table, the spool list and the metrics fold; handlers block
-// in socket reads, never while holding it.
+// Threading: connections run on util::ConnectionServer (accept loop when
+// listening, one handler thread per connection, joined as it finishes);
+// serve()'s own thread waits for completion, expiring overdue leases as
+// it waits, then drains the server after a grace period, so a straggler
+// sees EOF and its leases are revoked. One mutex guards the lease table,
+// the spool list and the metrics fold; handlers block in socket reads,
+// never while holding it.
 
 #include <cstddef>
 #include <cstdint>
 #include <condition_variable>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "ulpdream/campaign/spec.hpp"
 #include "ulpdream/dist/lease_table.hpp"
+#include "ulpdream/util/conn_server.hpp"
 #include "ulpdream/util/socket.hpp"
 #include "ulpdream/util/telemetry.hpp"
 
@@ -61,8 +65,6 @@ class Coordinator {
     std::string store_out;
     /// Optional: write the folded worker metrics snapshot as JSON here.
     std::string metrics_out;
-    /// Cap on a single frame payload (shard bytes bound lease size).
-    std::size_t max_frame_bytes = 0;  ///< 0 = protocol default
   };
 
   struct Report {
@@ -83,7 +85,6 @@ class Coordinator {
   /// Throws std::invalid_argument on empty spool_dir/store_out and
   /// SocketError when the endpoint cannot be bound.
   Coordinator(campaign::CampaignSpec spec, Options options);
-  ~Coordinator();
 
   Coordinator(const Coordinator&) = delete;
   Coordinator& operator=(const Coordinator&) = delete;
@@ -94,12 +95,12 @@ class Coordinator {
   /// Resolved listen endpoint (ephemeral port filled in); empty when not
   /// listening.
   [[nodiscard]] const std::string& endpoint() const noexcept {
-    return endpoint_;
+    return server_.endpoint();
   }
 
   /// Serves a pre-connected peer (socketpair / FakeWorker) exactly like
   /// an accepted connection. Callable before or during serve().
-  void adopt(util::Socket socket);
+  void adopt(util::Socket socket) { server_.adopt(std::move(socket)); }
 
   /// Runs the campaign to completion: accepts workers, leases work,
   /// ingests shards, then closes the listener, drains connections,
@@ -109,29 +110,23 @@ class Coordinator {
   Report serve();
 
  private:
-  void handle_connection(util::Socket socket);
-  void accept_loop();
-  void sweeper_loop();
+  void handle_connection(util::Socket& socket);
   void ingest(std::uint64_t lease_id, const std::vector<std::uint8_t>& bytes);
 
   campaign::CampaignSpec spec_;
   Options options_;
   std::string fingerprint_;
-  std::string endpoint_;
-  util::Listener listener_;
 
   std::mutex mutex_;
-  std::condition_variable cv_;  ///< all_done / connection-drain wakeups
+  std::condition_variable cv_;  ///< all_done wakeups
   LeaseTable table_;
   /// Every grant ever made, so a stale result can still be credited to
   /// its range. O(total leases) — bounded by items/lease_items + churn.
   std::unordered_map<std::uint64_t, std::pair<std::size_t, std::size_t>>
       granted_;
   std::vector<std::string> spooled_;  ///< shard files, ingest order
-  std::vector<std::thread> handlers_;
-  std::size_t connections_open_ = 0;
-  bool stopping_ = false;
   Report report_;
+  util::ConnectionServer server_;  ///< last: drained before the rest dies
 };
 
 }  // namespace ulpdream::dist

@@ -32,7 +32,6 @@
 // (transport-level) so tests and logs can tell "peer sent a truncated
 // LeaseGrant" from "peer is not speaking frames at all".
 
-#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -45,10 +44,6 @@ namespace ulpdream::dist {
 /// Bump on any wire-visible change; HELLO carries it and the coordinator
 /// rejects mismatches by number (both quoted).
 inline constexpr std::uint32_t kProtocolVersion = 1;
-
-/// Default cap on a frame payload. Lease results carry whole columnar
-/// shards, so this bounds lease size x sample width, not chat traffic.
-inline constexpr std::size_t kMaxFrameBytes = std::size_t(256) << 20;
 
 /// Typed payload-decode failure naming the peer (transport failures are
 /// util::FrameError; this layer means the frame arrived but lied). The
@@ -130,10 +125,9 @@ struct Metrics {
 struct Goodbye {};
 
 // ---------------------------------------------------------------------------
-// Send / receive. send() encodes and writes one frame; expect<T>()
-// reads the next frame and decodes it as T, throwing ProtocolError when
-// the peer sent a different type. receive() returns the raw frame for
-// dispatch loops.
+// Send / receive. send() encodes and writes one frame; receive() returns
+// the raw frame for dispatch loops, and decode_*() names both types when
+// the peer sent a different one. All of it runs on util::FramedProtocol.
 
 void send(util::Socket& socket, const Hello& m);
 void send(util::Socket& socket, const HelloOk& m);
@@ -173,9 +167,8 @@ void send(util::Socket& socket, const Goodbye& m);
 [[nodiscard]] Metrics decode_metrics(const util::Frame& frame,
                                      const std::string& peer);
 
-/// Reads the next frame (false on clean EOF between frames). Wire-level
-/// failures surface as util::FrameError.
-[[nodiscard]] bool receive(util::Socket& socket, util::Frame& out,
-                           std::size_t max_payload = kMaxFrameBytes);
+/// Reads the next frame (false on clean EOF between frames), capped at
+/// util::kMaxFrameBytes. Wire-level failures surface as util::FrameError.
+[[nodiscard]] bool receive(util::Socket& socket, util::Frame& out);
 
 }  // namespace ulpdream::dist

@@ -1,6 +1,5 @@
 #include "ulpdream/dist/protocol.hpp"
 
-#include "ulpdream/util/telemetry.hpp"
 #include "ulpdream/util/wire.hpp"
 
 namespace ulpdream::dist {
@@ -10,27 +9,9 @@ namespace {
 using util::PayloadReader;
 using util::PayloadWriter;
 
-void send_frame(util::Socket& socket, MsgType type,
-                const PayloadWriter& payload) {
-  static const util::telemetry::Counter frames("dist.frames_sent");
-  static const util::telemetry::Counter bytes("dist.frames_sent_bytes");
-  util::write_frame(socket, static_cast<std::uint32_t>(type),
-                    payload.bytes());
-  frames.add();
-  bytes.add(util::kFrameHeaderBytes + payload.bytes().size());
-}
-
-/// Opens a reader after asserting the frame really is `type` — decoding
-/// a LeaseGrant out of a Metrics frame must fail by name, not by field.
-PayloadReader open(const util::Frame& frame, const std::string& peer,
-                   MsgType type) {
-  if (frame.type != static_cast<std::uint32_t>(type)) {
-    throw ProtocolError(
-        peer, std::string("expected ") + to_string(type) + " frame, got " +
-                  to_string(static_cast<MsgType>(frame.type)) + " (type " +
-                  std::to_string(frame.type) + ")");
-  }
-  return PayloadReader(frame.payload, peer, to_string(type));
+const util::FramedProtocol<MsgType>& wire() {
+  static const util::FramedProtocol<MsgType> protocol("dist");
+  return protocol;
 }
 
 }  // namespace
@@ -58,7 +39,7 @@ void send(util::Socket& socket, const Hello& m) {
   w.put_u32(m.version);
   w.put_string(m.fingerprint);
   w.put_string(m.worker_name);
-  send_frame(socket, MsgType::kHello, w);
+  wire().send(socket, MsgType::kHello, w);
 }
 
 void send(util::Socket& socket, const HelloOk& m) {
@@ -66,17 +47,17 @@ void send(util::Socket& socket, const HelloOk& m) {
   w.put_u64(m.item_count);
   w.put_u64(m.lease_items);
   w.put_u64(m.heartbeat_ms);
-  send_frame(socket, MsgType::kHelloOk, w);
+  wire().send(socket, MsgType::kHelloOk, w);
 }
 
 void send(util::Socket& socket, const HelloReject& m) {
   PayloadWriter w;
   w.put_string(m.reason);
-  send_frame(socket, MsgType::kHelloReject, w);
+  wire().send(socket, MsgType::kHelloReject, w);
 }
 
 void send(util::Socket& socket, const LeaseRequest&) {
-  send_frame(socket, MsgType::kLeaseRequest, PayloadWriter());
+  wire().send(socket, MsgType::kLeaseRequest, PayloadWriter());
 }
 
 void send(util::Socket& socket, const LeaseGrant& m) {
@@ -84,53 +65,53 @@ void send(util::Socket& socket, const LeaseGrant& m) {
   w.put_u64(m.lease_id);
   w.put_u64(m.begin);
   w.put_u64(m.end);
-  send_frame(socket, MsgType::kLeaseGrant, w);
+  wire().send(socket, MsgType::kLeaseGrant, w);
 }
 
 void send(util::Socket& socket, const NoWork& m) {
   PayloadWriter w;
   w.put_u8(m.campaign_done ? 1 : 0);
   w.put_u64(m.retry_ms);
-  send_frame(socket, MsgType::kNoWork, w);
+  wire().send(socket, MsgType::kNoWork, w);
 }
 
 void send(util::Socket& socket, const LeaseResult& m) {
   PayloadWriter w;
   w.put_u64(m.lease_id);
   w.put_blob(m.store_bytes);
-  send_frame(socket, MsgType::kLeaseResult, w);
+  wire().send(socket, MsgType::kLeaseResult, w);
 }
 
 void send(util::Socket& socket, const ResultAck& m) {
   PayloadWriter w;
   w.put_u64(m.lease_id);
-  send_frame(socket, MsgType::kResultAck, w);
+  wire().send(socket, MsgType::kResultAck, w);
 }
 
 void send(util::Socket& socket, const Heartbeat& m) {
   PayloadWriter w;
   w.put_u64(m.lease_id);
-  send_frame(socket, MsgType::kHeartbeat, w);
+  wire().send(socket, MsgType::kHeartbeat, w);
 }
 
 void send(util::Socket& socket, const HeartbeatAck& m) {
   PayloadWriter w;
   w.put_u64(m.lease_id);
-  send_frame(socket, MsgType::kHeartbeatAck, w);
+  wire().send(socket, MsgType::kHeartbeatAck, w);
 }
 
 void send(util::Socket& socket, const Metrics& m) {
   PayloadWriter w;
   w.put_string(m.json);
-  send_frame(socket, MsgType::kMetrics, w);
+  wire().send(socket, MsgType::kMetrics, w);
 }
 
 void send(util::Socket& socket, const Goodbye&) {
-  send_frame(socket, MsgType::kGoodbye, PayloadWriter());
+  wire().send(socket, MsgType::kGoodbye, PayloadWriter());
 }
 
 Hello decode_hello(const util::Frame& frame, const std::string& peer) {
-  PayloadReader r = open(frame, peer, MsgType::kHello);
+  PayloadReader r = wire().open(frame, peer, MsgType::kHello);
   Hello m;
   m.version = r.get_u32("version");
   m.fingerprint = r.get_string("fingerprint");
@@ -140,7 +121,7 @@ Hello decode_hello(const util::Frame& frame, const std::string& peer) {
 }
 
 HelloOk decode_hello_ok(const util::Frame& frame, const std::string& peer) {
-  PayloadReader r = open(frame, peer, MsgType::kHelloOk);
+  PayloadReader r = wire().open(frame, peer, MsgType::kHelloOk);
   HelloOk m;
   m.item_count = r.get_u64("item_count");
   m.lease_items = r.get_u64("lease_items");
@@ -151,7 +132,7 @@ HelloOk decode_hello_ok(const util::Frame& frame, const std::string& peer) {
 
 HelloReject decode_hello_reject(const util::Frame& frame,
                                 const std::string& peer) {
-  PayloadReader r = open(frame, peer, MsgType::kHelloReject);
+  PayloadReader r = wire().open(frame, peer, MsgType::kHelloReject);
   HelloReject m;
   m.reason = r.get_string("reason");
   r.finish();
@@ -160,7 +141,7 @@ HelloReject decode_hello_reject(const util::Frame& frame,
 
 LeaseGrant decode_lease_grant(const util::Frame& frame,
                               const std::string& peer) {
-  PayloadReader r = open(frame, peer, MsgType::kLeaseGrant);
+  PayloadReader r = wire().open(frame, peer, MsgType::kLeaseGrant);
   LeaseGrant m;
   m.lease_id = r.get_u64("lease_id");
   m.begin = r.get_u64("begin");
@@ -175,7 +156,7 @@ LeaseGrant decode_lease_grant(const util::Frame& frame,
 }
 
 NoWork decode_no_work(const util::Frame& frame, const std::string& peer) {
-  PayloadReader r = open(frame, peer, MsgType::kNoWork);
+  PayloadReader r = wire().open(frame, peer, MsgType::kNoWork);
   NoWork m;
   m.campaign_done = r.get_u8("campaign_done") != 0;
   m.retry_ms = r.get_u64("retry_ms");
@@ -185,7 +166,7 @@ NoWork decode_no_work(const util::Frame& frame, const std::string& peer) {
 
 LeaseResult decode_lease_result(const util::Frame& frame,
                                 const std::string& peer) {
-  PayloadReader r = open(frame, peer, MsgType::kLeaseResult);
+  PayloadReader r = wire().open(frame, peer, MsgType::kLeaseResult);
   LeaseResult m;
   m.lease_id = r.get_u64("lease_id");
   m.store_bytes = r.get_blob("store_bytes");
@@ -195,7 +176,7 @@ LeaseResult decode_lease_result(const util::Frame& frame,
 
 ResultAck decode_result_ack(const util::Frame& frame,
                             const std::string& peer) {
-  PayloadReader r = open(frame, peer, MsgType::kResultAck);
+  PayloadReader r = wire().open(frame, peer, MsgType::kResultAck);
   ResultAck m;
   m.lease_id = r.get_u64("lease_id");
   r.finish();
@@ -204,7 +185,7 @@ ResultAck decode_result_ack(const util::Frame& frame,
 
 Heartbeat decode_heartbeat(const util::Frame& frame,
                            const std::string& peer) {
-  PayloadReader r = open(frame, peer, MsgType::kHeartbeat);
+  PayloadReader r = wire().open(frame, peer, MsgType::kHeartbeat);
   Heartbeat m;
   m.lease_id = r.get_u64("lease_id");
   r.finish();
@@ -213,7 +194,7 @@ Heartbeat decode_heartbeat(const util::Frame& frame,
 
 HeartbeatAck decode_heartbeat_ack(const util::Frame& frame,
                                   const std::string& peer) {
-  PayloadReader r = open(frame, peer, MsgType::kHeartbeatAck);
+  PayloadReader r = wire().open(frame, peer, MsgType::kHeartbeatAck);
   HeartbeatAck m;
   m.lease_id = r.get_u64("lease_id");
   r.finish();
@@ -221,21 +202,15 @@ HeartbeatAck decode_heartbeat_ack(const util::Frame& frame,
 }
 
 Metrics decode_metrics(const util::Frame& frame, const std::string& peer) {
-  PayloadReader r = open(frame, peer, MsgType::kMetrics);
+  PayloadReader r = wire().open(frame, peer, MsgType::kMetrics);
   Metrics m;
   m.json = r.get_string("json");
   r.finish();
   return m;
 }
 
-bool receive(util::Socket& socket, util::Frame& out,
-             std::size_t max_payload) {
-  static const util::telemetry::Counter frames("dist.frames_received");
-  static const util::telemetry::Counter bytes("dist.frames_received_bytes");
-  if (!util::read_frame(socket, out, max_payload)) return false;
-  frames.add();
-  bytes.add(util::kFrameHeaderBytes + out.payload.size());
-  return true;
+bool receive(util::Socket& socket, util::Frame& out) {
+  return wire().receive(socket, out);
 }
 
 }  // namespace ulpdream::dist

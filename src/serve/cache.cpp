@@ -20,19 +20,6 @@ using campaign::StoreError;
 
 namespace {
 
-std::vector<std::uint8_t> slurp(const std::string& path) {
-  std::ifstream is(path, std::ios::binary | std::ios::ate);
-  if (!is) throw StoreError(path, "cannot open for reading");
-  const std::streamsize size = is.tellg();
-  is.seekg(0);
-  std::vector<std::uint8_t> bytes(static_cast<std::size_t>(size));
-  if (size > 0 &&
-      !is.read(reinterpret_cast<char*>(bytes.data()), size)) {
-    throw StoreError(path, "short read");
-  }
-  return bytes;
-}
-
 std::string sidecar_of(const std::string& store_path) {
   return fs::path(store_path).replace_extension(".spec").string();
 }
@@ -49,6 +36,19 @@ void remove_quiet(const std::string& path) {
 }
 
 }  // namespace
+
+std::vector<std::uint8_t> slurp(const std::string& path) {
+  std::ifstream is(path, std::ios::binary | std::ios::ate);
+  if (!is) throw StoreError(path, "cannot open for reading");
+  const std::streamsize size = is.tellg();
+  is.seekg(0);
+  std::vector<std::uint8_t> bytes(static_cast<std::size_t>(size));
+  if (size > 0 &&
+      !is.read(reinterpret_cast<char*>(bytes.data()), size)) {
+    throw StoreError(path, "short read");
+  }
+  return bytes;
+}
 
 bool is_resumable_prefix(const campaign::CampaignSpec& cached,
                          const campaign::CampaignSpec& query) {

@@ -1,13 +1,8 @@
 #include "ulpdream/serve/daemon.hpp"
 
-#include <poll.h>
-#include <unistd.h>
-
-#include <cerrno>
 #include <chrono>
-#include <cstring>
-#include <fstream>
 #include <sstream>
+#include <thread>
 #include <utility>
 
 #include "ulpdream/util/log.hpp"
@@ -15,18 +10,6 @@
 namespace ulpdream::serve {
 
 namespace {
-
-std::vector<std::uint8_t> slurp(const std::string& path) {
-  std::ifstream is(path, std::ios::binary | std::ios::ate);
-  if (!is) throw campaign::StoreError(path, "cannot open for reading");
-  const std::streamsize size = is.tellg();
-  is.seekg(0);
-  std::vector<std::uint8_t> bytes(static_cast<std::size_t>(size));
-  if (size > 0 && !is.read(reinterpret_cast<char*>(bytes.data()), size)) {
-    throw campaign::StoreError(path, "short read");
-  }
-  return bytes;
-}
 
 std::string rows_csv_text(const std::vector<campaign::AggregateRow>& rows) {
   std::ostringstream os;
@@ -41,142 +24,73 @@ Daemon::Daemon(Options options)
       session_(energy::SystemEnergyModel(), options_.threads),
       cache_(ResultCache::Options{options_.cache_dir,
                                   options_.cache_budget_bytes}),
-      listener_(util::Listener::open(options_.listen)) {
-  int fds[2];
-  if (::pipe(fds) != 0) {
-    throw util::SocketError(options_.listen,
-                            std::string("pipe: ") + std::strerror(errno));
-  }
-  stop_rd_ = fds[0];
-  stop_wr_ = fds[1];
-}
-
-Daemon::~Daemon() {
-  if (stop_rd_ >= 0) (void)::close(stop_rd_);
-  if (stop_wr_ >= 0) (void)::close(stop_wr_);
-}
-
-void Daemon::request_stop() noexcept {
-  if (stop_wr_ >= 0) {
-    const char byte = 1;
-    [[maybe_unused]] const ssize_t n = ::write(stop_wr_, &byte, 1);
-  }
-}
+      server_(util::Listener::open(options_.listen),
+              [this](util::Socket& socket) { handle_client(socket); },
+              "serve.clients_connected") {}
 
 Daemon::Report Daemon::run() {
-  util::log_info("serve: daemon listening on ", listener_.endpoint(),
+  util::log_info("serve: daemon listening on ", server_.endpoint(),
                  " (cache ", cache_.dir(), ": ", cache_.entries(),
                  " entries, ", cache_.bytes(), " bytes rehydrated)");
-  for (;;) {
-    pollfd fds[2];
-    fds[0] = pollfd{listener_.fd(), POLLIN, 0};
-    fds[1] = pollfd{stop_rd_, POLLIN, 0};
-    const int rc = ::poll(fds, 2, -1);
-    if (rc < 0) {
-      if (errno == EINTR) continue;
-      throw util::SocketError(listener_.endpoint(),
-                              std::string("poll: ") + std::strerror(errno));
-    }
-    if ((fds[1].revents & POLLIN) != 0) break;
-    if ((fds[0].revents & (POLLIN | POLLERR | POLLHUP)) == 0) continue;
-    auto conn = std::make_shared<ClientConn>();
-    conn->socket = listener_.accept();
-    std::lock_guard lock(mutex_);
-    report_.clients += 1;
-    conns_.push_back(conn);
-    handlers_.emplace_back([this, conn] { handle_client(conn); });
-  }
-
-  // Graceful drain: no new connections, idle clients wake to EOF, busy
-  // handlers finish and answer their in-flight query, then everyone
-  // joins.
-  stopping_.store(true);
-  listener_.close();
-  {
-    std::lock_guard lock(mutex_);
-    for (const auto& conn : conns_) {
-      if (!conn->busy.load()) conn->socket.shutdown();
-    }
-  }
-  for (std::thread& handler : handlers_) handler.join();
+  server_.serve();
+  server_.drain();
+  std::lock_guard lock(mutex_);
   util::log_info("serve: daemon drained (", report_.queries, " queries, ",
                  report_.cache_hits, " hits, ", report_.gap_fills,
                  " gap-fills, ", report_.cold_runs, " cold)");
-  std::lock_guard lock(mutex_);
   return report_;
 }
 
-void Daemon::handle_client(const std::shared_ptr<ClientConn>& conn) {
+void Daemon::handle_client(util::Socket& socket) {
   static const util::telemetry::Counter errors("serve.errors");
-  static const util::telemetry::Gauge connected("serve.clients_connected");
-  connected.set(static_cast<double>(++connected_count_));
+  const auto answer_error = [this, &socket](const std::string& message) {
+    errors.add();
+    {
+      std::lock_guard lock(mutex_);
+      report_.errors += 1;
+    }
+    send(socket, Error{message});
+  };
+  {
+    std::lock_guard lock(mutex_);
+    report_.clients += 1;
+  }
   try {
     util::Frame frame;
-    while (receive(conn->socket, frame, options_.max_frame_bytes)) {
+    // Draining: the query in flight was answered; hang up.
+    while (!server_.draining() && receive(socket, frame)) {
       Query query;
       try {
-        query = decode_query(frame, conn->socket.peer());
+        query = decode_query(frame, socket.peer());
       } catch (const ProtocolError& e) {
         // Payload garbage: tell the peer why, then hang up — a client
         // that cannot frame a Query will not frame the next one either.
-        errors.add();
-        {
-          std::lock_guard lock(mutex_);
-          report_.errors += 1;
-        }
-        send(conn->socket, Error{e.what()});
+        answer_error(e.what());
         break;
       }
       if (query.version != kProtocolVersion) {
-        errors.add();
-        {
-          std::lock_guard lock(mutex_);
-          report_.errors += 1;
-        }
-        send(conn->socket,
-             Error{"protocol version mismatch: daemon speaks " +
-                   std::to_string(kProtocolVersion) + ", client sent " +
-                   std::to_string(query.version)});
+        answer_error("protocol version mismatch: daemon speaks " +
+                     std::to_string(kProtocolVersion) + ", client sent " +
+                     std::to_string(query.version));
         continue;
       }
-      conn->busy.store(true);
-      Result result;
       try {
-        result = answer(query, *conn);
+        send(socket, answer(query, socket));
       } catch (const util::SocketError&) {
-        conn->busy.store(false);
         throw;  // client died mid-query; already cancelled
       } catch (const std::exception& e) {
         // Query-level failure (unknown axis name, bad spec, store I/O):
         // answer with the reason and keep the connection — the client
         // may fix the spec and retry.
-        conn->busy.store(false);
-        errors.add();
-        {
-          std::lock_guard lock(mutex_);
-          report_.errors += 1;
-        }
-        send(conn->socket, Error{e.what()});
-        if (stopping_.load()) break;
-        continue;
+        answer_error(e.what());
       }
-      conn->busy.store(false);
-      send(conn->socket, result);
-      if (stopping_.load()) break;
     }
   } catch (const std::exception& e) {
-    util::log_warn("serve: client ", conn->socket.peer(), ": ", e.what());
+    util::log_warn("serve: client ", socket.peer(), ": ", e.what());
   }
-  {
-    // The drain shutdown()s idle sockets under mutex_; closing under it
-    // too means it never touches a closed (or reused) descriptor.
-    std::lock_guard lock(mutex_);
-    conn->socket.close();
-  }
-  connected.set(static_cast<double>(--connected_count_));
 }
 
-Result Daemon::answer(const Query& query, ClientConn& conn) {
+Result Daemon::answer(const Query& query, util::Socket& socket) {
   static const util::telemetry::Counter queries("serve.queries");
   static const util::telemetry::Histogram hit_ns("serve.query.hit_ns");
   static const util::telemetry::Histogram cold_ns("serve.query.cold_ns");
@@ -241,7 +155,7 @@ Result Daemon::answer(const Query& query, ClientConn& conn) {
   try {
     for (;;) {
       const campaign::Progress progress = handle.progress();
-      send(conn.socket, Progress{progress.items_done, progress.items_total});
+      send(socket, Progress{progress.items_done, progress.items_total});
       if (progress.finished) break;
       std::this_thread::sleep_for(
           std::chrono::milliseconds(options_.progress_every_ms));

@@ -58,6 +58,10 @@ namespace ulpdream::serve {
     const campaign::ColumnarStore& cached,
     const campaign::CampaignSpec& query);
 
+/// Reads a whole file (a published store, a spec sidecar). Throws
+/// campaign::StoreError naming the path.
+[[nodiscard]] std::vector<std::uint8_t> slurp(const std::string& path);
+
 class ResultCache {
  public:
   struct Options {

@@ -16,29 +16,25 @@
 //   so what the client receives is byte-identical to what a later hit
 //   will serve, and to a single-process `campaign` save of the grid.
 //
-// Concurrency: one accept loop (poll over the listener and a self-pipe),
-// one handler thread per connection, queries from different clients
-// interleaving at work-item granularity on the shared Session. The cache
+// Concurrency: util::ConnectionServer runs one handler thread per
+// connection and joins it as it finishes, so memory stays flat in the
+// number of clients ever served; queries from different clients
+// interleave at work-item granularity on the shared Session. The cache
 // and counters sit behind one mutex; campaign execution does not.
 //
-// Shutdown: request_stop() is async-signal-safe (one write to the
-// self-pipe) — wire it directly to SIGTERM/SIGINT. The daemon then stops
-// accepting, wakes idle connections (they see EOF), lets in-flight
-// queries finish and answer, joins every handler, and returns from
-// run() with a Report.
+// Shutdown: request_stop() is async-signal-safe (one self-pipe write) —
+// wire it directly to SIGTERM/SIGINT. run() then drains: idle clients see
+// EOF, a query in flight still finishes and answers before the hang-up,
+// every handler is joined, and run() returns a Report.
 
-#include <atomic>
 #include <cstddef>
-#include <list>
-#include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
-#include <vector>
 
 #include "ulpdream/campaign/session.hpp"
 #include "ulpdream/serve/cache.hpp"
 #include "ulpdream/serve/protocol.hpp"
+#include "ulpdream/util/conn_server.hpp"
 #include "ulpdream/util/socket.hpp"
 #include "ulpdream/util/telemetry.hpp"
 
@@ -51,7 +47,6 @@ class Daemon {
     std::string cache_dir;  ///< ResultCache directory (required)
     std::uint64_t cache_budget_bytes = std::uint64_t(256) << 20;
     unsigned threads = 0;  ///< session pool size; 0 = hardware_concurrency
-    std::size_t max_frame_bytes = kMaxFrameBytes;
     /// Cadence of Progress frames while a query executes.
     std::size_t progress_every_ms = 250;
   };
@@ -73,14 +68,13 @@ class Daemon {
   /// cache. Throws on bind/cache failure — fail at startup, not at the
   /// first query.
   explicit Daemon(Options options);
-  ~Daemon();
 
   Daemon(const Daemon&) = delete;
   Daemon& operator=(const Daemon&) = delete;
 
   /// The resolved listen endpoint (reports the real port for port 0).
   [[nodiscard]] const std::string& endpoint() const noexcept {
-    return listener_.endpoint();
+    return server_.endpoint();
   }
   [[nodiscard]] const ResultCache& cache() const noexcept { return cache_; }
 
@@ -89,7 +83,7 @@ class Daemon {
 
   /// Async-signal-safe stop request (one write to a self-pipe) — the
   /// SIGTERM/SIGINT handler calls this. Idempotent.
-  void request_stop() noexcept;
+  void request_stop() noexcept { server_.request_stop(); }
 
   /// Metrics accrued since construction (serve.*, session.*, workpool.*,
   /// codec.*, ... — the session's baseline diff).
@@ -98,34 +92,19 @@ class Daemon {
   }
 
  private:
-  /// Per-connection state shared between the handler thread and the
-  /// drain sweep: drain shuts down idle sockets (busy == false) to wake
-  /// their blocked reads; busy handlers finish their query, answer, see
-  /// stopping_ and exit.
-  struct ClientConn {
-    util::Socket socket;
-    std::atomic<bool> busy{false};
-  };
-
-  void handle_client(const std::shared_ptr<ClientConn>& conn);
+  void handle_client(util::Socket& socket);
   /// Answers one decoded query, streaming Progress frames for executed
   /// grids. Throws SocketError/FrameError when the client dies mid-query
   /// (the in-flight campaign is cancelled first).
-  Result answer(const Query& query, ClientConn& conn);
+  Result answer(const Query& query, util::Socket& socket);
 
   Options options_;
   campaign::Session session_;
   ResultCache cache_;
-  util::Listener listener_;
-  int stop_rd_ = -1;
-  int stop_wr_ = -1;
-  std::atomic<bool> stopping_{false};
-  std::atomic<int> connected_count_{0};
 
-  std::mutex mutex_;  ///< guards cache_, report_, conns_
+  std::mutex mutex_;  ///< guards cache_, report_
   Report report_;
-  std::vector<std::shared_ptr<ClientConn>> conns_;
-  std::vector<std::thread> handlers_;
+  util::ConnectionServer server_;  ///< last: drained before the rest dies
 };
 
 }  // namespace ulpdream::serve

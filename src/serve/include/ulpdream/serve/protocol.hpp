@@ -24,7 +24,6 @@
 // payload and the cache directory's sidecar files, so a rehydrating
 // daemon decodes the very bytes a client once sent.
 
-#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -39,9 +38,6 @@ namespace ulpdream::serve {
 /// Bump on any wire-visible change; Query carries it and the daemon
 /// rejects mismatches with an Error frame quoting both numbers.
 inline constexpr std::uint32_t kProtocolVersion = 1;
-
-/// Default cap on a frame payload — results carry whole columnar stores.
-inline constexpr std::size_t kMaxFrameBytes = std::size_t(256) << 20;
 
 /// Same typed decode failure as dist (the codec is shared).
 using ProtocolError = util::WireError;
@@ -126,9 +122,8 @@ void send(util::Socket& socket, const Error& m);
 [[nodiscard]] Error decode_error(const util::Frame& frame,
                                  const std::string& peer);
 
-/// Reads the next frame (false on clean EOF between frames). Wire-level
-/// failures surface as util::FrameError.
-[[nodiscard]] bool receive(util::Socket& socket, util::Frame& out,
-                           std::size_t max_payload = kMaxFrameBytes);
+/// Reads the next frame (false on clean EOF between frames), capped at
+/// util::kMaxFrameBytes. Wire-level failures surface as util::FrameError.
+[[nodiscard]] bool receive(util::Socket& socket, util::Frame& out);
 
 }  // namespace ulpdream::serve

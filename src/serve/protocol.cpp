@@ -1,7 +1,6 @@
 #include "ulpdream/serve/protocol.hpp"
 
 #include "ulpdream/ecg/generator.hpp"
-#include "ulpdream/util/telemetry.hpp"
 
 namespace ulpdream::serve {
 
@@ -10,28 +9,9 @@ namespace {
 using util::PayloadReader;
 using util::PayloadWriter;
 
-void send_frame(util::Socket& socket, MsgType type,
-                const PayloadWriter& payload) {
-  static const util::telemetry::Counter frames("serve.frames_sent");
-  static const util::telemetry::Counter bytes("serve.frames_sent_bytes");
-  util::write_frame(socket, static_cast<std::uint32_t>(type),
-                    payload.bytes());
-  frames.add();
-  bytes.add(util::kFrameHeaderBytes + payload.bytes().size());
-}
-
-/// Opens a reader after asserting the frame really is `type` — a dist
-/// worker (or anything else) that dialed the daemon's port must fail by
-/// name, not by field.
-PayloadReader open(const util::Frame& frame, const std::string& peer,
-                   MsgType type) {
-  if (frame.type != static_cast<std::uint32_t>(type)) {
-    throw ProtocolError(
-        peer, std::string("expected ") + to_string(type) + " frame, got " +
-                  to_string(static_cast<MsgType>(frame.type)) + " (type " +
-                  std::to_string(frame.type) + ")");
-  }
-  return PayloadReader(frame.payload, peer, to_string(type));
+const util::FramedProtocol<MsgType>& wire() {
+  static const util::FramedProtocol<MsgType> protocol("serve");
+  return protocol;
 }
 
 }  // namespace
@@ -128,7 +108,7 @@ void send(util::Socket& socket, const Query& m) {
   w.put_u8(m.want_store ? 1 : 0);
   w.put_u8(m.want_rows ? 1 : 0);
   w.put_u8(group_mask(m.group));
-  send_frame(socket, MsgType::kQuery, w);
+  wire().send(socket, MsgType::kQuery, w);
 }
 
 void send(util::Socket& socket, const Result& m) {
@@ -138,24 +118,24 @@ void send(util::Socket& socket, const Result& m) {
   w.put_u64(m.items_executed);
   w.put_blob(m.store_bytes);
   w.put_string(m.rows_csv);
-  send_frame(socket, MsgType::kResult, w);
+  wire().send(socket, MsgType::kResult, w);
 }
 
 void send(util::Socket& socket, const Progress& m) {
   PayloadWriter w;
   w.put_u64(m.items_done);
   w.put_u64(m.items_total);
-  send_frame(socket, MsgType::kProgress, w);
+  wire().send(socket, MsgType::kProgress, w);
 }
 
 void send(util::Socket& socket, const Error& m) {
   PayloadWriter w;
   w.put_string(m.message);
-  send_frame(socket, MsgType::kError, w);
+  wire().send(socket, MsgType::kError, w);
 }
 
 Query decode_query(const util::Frame& frame, const std::string& peer) {
-  PayloadReader r = open(frame, peer, MsgType::kQuery);
+  PayloadReader r = wire().open(frame, peer, MsgType::kQuery);
   Query m;
   m.version = r.get_u32("version");
   m.spec = decode_spec(r);
@@ -167,7 +147,7 @@ Query decode_query(const util::Frame& frame, const std::string& peer) {
 }
 
 Result decode_result(const util::Frame& frame, const std::string& peer) {
-  PayloadReader r = open(frame, peer, MsgType::kResult);
+  PayloadReader r = wire().open(frame, peer, MsgType::kResult);
   Result m;
   m.status = static_cast<CacheStatus>(r.get_u8("status"));
   m.items_total = r.get_u64("items_total");
@@ -179,7 +159,7 @@ Result decode_result(const util::Frame& frame, const std::string& peer) {
 }
 
 Progress decode_progress(const util::Frame& frame, const std::string& peer) {
-  PayloadReader r = open(frame, peer, MsgType::kProgress);
+  PayloadReader r = wire().open(frame, peer, MsgType::kProgress);
   Progress m;
   m.items_done = r.get_u64("items_done");
   m.items_total = r.get_u64("items_total");
@@ -188,21 +168,15 @@ Progress decode_progress(const util::Frame& frame, const std::string& peer) {
 }
 
 Error decode_error(const util::Frame& frame, const std::string& peer) {
-  PayloadReader r = open(frame, peer, MsgType::kError);
+  PayloadReader r = wire().open(frame, peer, MsgType::kError);
   Error m;
   m.message = r.get_string("message");
   r.finish();
   return m;
 }
 
-bool receive(util::Socket& socket, util::Frame& out,
-             std::size_t max_payload) {
-  static const util::telemetry::Counter frames("serve.frames_received");
-  static const util::telemetry::Counter bytes("serve.frames_received_bytes");
-  if (!util::read_frame(socket, out, max_payload)) return false;
-  frames.add();
-  bytes.add(util::kFrameHeaderBytes + out.payload.size());
-  return true;
+bool receive(util::Socket& socket, util::Frame& out) {
+  return wire().receive(socket, out);
 }
 
 }  // namespace ulpdream::serve

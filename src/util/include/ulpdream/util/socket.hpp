@@ -19,8 +19,9 @@
 //
 // Blocking I/O only, one reader and one writer per socket: the dist
 // protocol is strictly request/response per connection, and timeouts are
-// the receiver's business (set_recv_timeout). No poll loop, no buffering
-// beyond the frame being assembled.
+// the receiver's business (set_recv_timeout). No buffering beyond the
+// frame being assembled; the one poll loop (accepting, stopping and
+// draining connections) is util::ConnectionServer (conn_server.hpp).
 
 #include <cstddef>
 #include <cstdint>
@@ -109,8 +110,8 @@ class Socket {
   /// timed-out read surfaces as FrameError kIo mentioning the timeout.
   void set_recv_timeout(std::size_t milliseconds);
 
-  /// Half-close both directions — wakes a thread blocked in read on this
-  /// socket (it sees EOF). Safe on an invalid socket.
+  /// Shuts the read side: a thread blocked in read on this socket wakes
+  /// with EOF, and writes still go out. Safe on an invalid socket.
   void shutdown() noexcept;
   void close() noexcept;
 
@@ -141,9 +142,7 @@ class Listener {
   [[nodiscard]] static Listener open(const std::string& endpoint);
 
   /// Blocks for the next connection; the returned socket's peer() names
-  /// the remote address. Throws SocketError when the listener was closed
-  /// from another thread (the coordinator's shutdown path) or on OS
-  /// error.
+  /// the remote address. Throws SocketError on OS error.
   [[nodiscard]] Socket accept();
 
   [[nodiscard]] bool valid() const noexcept { return fd_ >= 0; }
@@ -153,8 +152,8 @@ class Listener {
     return endpoint_;
   }
 
-  /// Closes the listening fd — a thread blocked in accept() unblocks
-  /// with a SocketError. Idempotent.
+  /// Closes the listening fd and removes a unix socket file.
+  /// Idempotent.
   void close() noexcept;
 
  private:

@@ -3,10 +3,10 @@
 // layer (socket.hpp) moves opaque typed byte blobs; this layer is how
 // those blobs are built and picked apart: a little-endian append-only
 // writer and a bounds-checked reader whose every failure names the peer,
-// the message and the field being decoded. Extracted from the distributed
-// runtime's protocol so the query-daemon protocol (serve/protocol.hpp)
-// and any future RPC speak byte-compatible payload encodings instead of
-// forking the codec.
+// the message and the field being decoded. The distributed runtime's
+// protocol, the query-daemon protocol (serve/protocol.hpp) and any
+// future RPC share it, and share one frame path (FramedProtocol): the
+// payload cap, the per-protocol frame counters and the frame-type check.
 //
 // The reader is deliberately paranoid: a length that runs past the
 // buffer, a field missing its bytes, or trailing bytes after the last
@@ -20,6 +20,9 @@
 #include <string>
 #include <utility>
 #include <vector>
+
+#include "ulpdream/util/socket.hpp"
+#include "ulpdream/util/telemetry.hpp"
 
 namespace ulpdream::util {
 
@@ -124,6 +127,61 @@ class PayloadReader {
   mutable std::size_t pos_ = 0;
   std::string peer_;
   const char* msg_;
+};
+
+/// Cap on one frame payload. Lease results and query answers carry
+/// whole columnar stores, so this bounds store size, not chat traffic.
+inline constexpr std::size_t kMaxFrameBytes = std::size_t(256) << 20;
+
+/// The frame path of one protocol, keyed by its message-type enum (whose
+/// to_string() argument-dependent lookup finds). Frames are counted as
+/// `<prefix>.frames_sent`, `<prefix>.frames_received` and their `_bytes`
+/// twins.
+template <typename MsgType>
+class FramedProtocol {
+ public:
+  explicit FramedProtocol(const std::string& prefix)
+      : sent_(prefix + ".frames_sent"),
+        sent_bytes_(prefix + ".frames_sent_bytes"),
+        received_(prefix + ".frames_received"),
+        received_bytes_(prefix + ".frames_received_bytes") {}
+
+  void send(Socket& socket, MsgType type,
+            const PayloadWriter& payload) const {
+    write_frame(socket, static_cast<std::uint32_t>(type), payload.bytes());
+    sent_.add();
+    sent_bytes_.add(kFrameHeaderBytes + payload.bytes().size());
+  }
+
+  /// Reads the next frame (false on clean EOF between frames). Wire-level
+  /// failures surface as FrameError.
+  [[nodiscard]] bool receive(Socket& socket, Frame& out) const {
+    if (!read_frame(socket, out, kMaxFrameBytes)) return false;
+    received_.add();
+    received_bytes_.add(kFrameHeaderBytes + out.payload.size());
+    return true;
+  }
+
+  /// Opens a reader after asserting the frame really is `type` — one
+  /// message decoded out of another's frame, or a frame from a peer that
+  /// dialed the wrong port, fails by name, not by field.
+  [[nodiscard]] PayloadReader open(const Frame& frame,
+                                   const std::string& peer,
+                                   MsgType type) const {
+    if (frame.type != static_cast<std::uint32_t>(type)) {
+      throw WireError(
+          peer, std::string("expected ") + to_string(type) + " frame, got " +
+                    to_string(static_cast<MsgType>(frame.type)) +
+                    " (type " + std::to_string(frame.type) + ")");
+    }
+    return PayloadReader(frame.payload, peer, to_string(type));
+  }
+
+ private:
+  telemetry::Counter sent_;
+  telemetry::Counter sent_bytes_;
+  telemetry::Counter received_;
+  telemetry::Counter received_bytes_;
 };
 
 }  // namespace ulpdream::util

@@ -3,7 +3,6 @@
 #include <cerrno>
 #include <cstring>
 
-#if defined(__unix__) || defined(__APPLE__)
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
@@ -12,12 +11,8 @@
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
-#define ULPDREAM_HAVE_SOCKETS 1
-#endif
 
 namespace ulpdream::util {
-
-#if ULPDREAM_HAVE_SOCKETS
 
 namespace {
 
@@ -222,7 +217,7 @@ void Socket::set_recv_timeout(std::size_t milliseconds) {
 }
 
 void Socket::shutdown() noexcept {
-  if (fd_ >= 0) (void)::shutdown(fd_, SHUT_RDWR);
+  if (fd_ >= 0) (void)::shutdown(fd_, SHUT_RD);
 }
 
 void Socket::close() noexcept {
@@ -308,10 +303,6 @@ Socket Listener::accept() {
 
 void Listener::close() noexcept {
   if (fd_ >= 0) {
-    // shutdown() first: close() alone does not wake a thread blocked in
-    // accept() on this fd, but shutting the listening socket down makes
-    // that accept return (EINVAL) before the fd is freed.
-    (void)::shutdown(fd_, SHUT_RDWR);
     (void)::close(fd_);
     fd_ = -1;
   }
@@ -321,36 +312,8 @@ void Listener::close() noexcept {
   }
 }
 
-#else  // !ULPDREAM_HAVE_SOCKETS
-
-namespace {
-[[noreturn]] void unsupported() {
-  throw SocketError("sockets", "not supported on this platform");
-}
-}  // namespace
-
-Socket Socket::connect(const std::string&) { unsupported(); }
-std::pair<Socket, Socket> Socket::socketpair(const std::string&) {
-  unsupported();
-}
-void Socket::write_all(const void*, std::size_t) { unsupported(); }
-bool Socket::read_all_or_eof(void*, std::size_t) { unsupported(); }
-void Socket::set_recv_timeout(std::size_t) { unsupported(); }
-void Socket::shutdown() noexcept {}
-void Socket::close() noexcept { fd_ = -1; }
-Listener& Listener::operator=(Listener&& other) noexcept {
-  fd_ = other.fd_;
-  other.fd_ = -1;
-  return *this;
-}
-Listener Listener::open(const std::string&) { unsupported(); }
-Socket Listener::accept() { unsupported(); }
-void Listener::close() noexcept { fd_ = -1; }
-
-#endif  // ULPDREAM_HAVE_SOCKETS
-
 // ---------------------------------------------------------------------------
-// Framing (platform-independent over the Socket primitives).
+// Framing over the Socket primitives.
 
 void write_frame(Socket& socket, std::uint32_t type,
                  const std::uint8_t* payload, std::size_t len) {

@@ -12,8 +12,10 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <future>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -22,6 +24,7 @@
 #include <thread>
 #include <vector>
 
+#include "process_usage.hpp"
 #include "ulpdream/campaign/session.hpp"
 #include "ulpdream/campaign/spec.hpp"
 #include "ulpdream/dist/coordinator.hpp"
@@ -31,6 +34,7 @@
 #include "ulpdream/ecg/database.hpp"
 #include "ulpdream/energy/energy_model.hpp"
 #include "ulpdream/util/socket.hpp"
+#include "ulpdream/util/telemetry.hpp"
 
 namespace ulpdream::dist {
 namespace {
@@ -200,7 +204,7 @@ TEST(Protocol, CleanEofBetweenFramesIsNotAnError) {
   auto [near, far] = Socket::socketpair("eof-test");
   far.close();
   Frame frame;
-  EXPECT_FALSE(util::read_frame(near, frame, kMaxFrameBytes));
+  EXPECT_FALSE(util::read_frame(near, frame, util::kMaxFrameBytes));
 }
 
 TEST(Protocol, BadMagicThrowsNamingThePeer) {
@@ -209,7 +213,7 @@ TEST(Protocol, BadMagicThrowsNamingThePeer) {
   far.write_all(junk, sizeof junk);
   Frame frame;
   try {
-    (void)util::read_frame(near, frame, kMaxFrameBytes);
+    (void)util::read_frame(near, frame, util::kMaxFrameBytes);
     FAIL() << "garbage magic must throw";
   } catch (const FrameError& e) {
     EXPECT_EQ(e.kind(), FrameError::Kind::kBadMagic);
@@ -229,7 +233,7 @@ TEST(Protocol, OversizedLengthPrefixThrowsBeforeAllocating) {
   far.write_all(header, sizeof header);
   Frame frame;
   try {
-    (void)util::read_frame(near, frame, kMaxFrameBytes);
+    (void)util::read_frame(near, frame, util::kMaxFrameBytes);
     FAIL() << "oversized length prefix must throw";
   } catch (const FrameError& e) {
     EXPECT_EQ(e.kind(), FrameError::Kind::kOversized);
@@ -244,7 +248,7 @@ TEST(Protocol, TruncatedHeaderThrowsTruncated) {
   far.close();  // died 10 bytes into a 24-byte header
   Frame frame;
   try {
-    (void)util::read_frame(near, frame, kMaxFrameBytes);
+    (void)util::read_frame(near, frame, util::kMaxFrameBytes);
     FAIL() << "mid-header EOF must throw";
   } catch (const FrameError& e) {
     EXPECT_EQ(e.kind(), FrameError::Kind::kTruncated);
@@ -265,7 +269,7 @@ TEST(Protocol, MidFramePayloadDisconnectThrowsTruncated) {
   far.close();
   Frame frame;
   try {
-    (void)util::read_frame(near, frame, kMaxFrameBytes);
+    (void)util::read_frame(near, frame, util::kMaxFrameBytes);
     FAIL() << "mid-payload EOF must throw";
   } catch (const FrameError& e) {
     EXPECT_EQ(e.kind(), FrameError::Kind::kTruncated);
@@ -281,7 +285,7 @@ TEST(Protocol, GarbagePayloadThrowsProtocolErrorNamingTheField) {
   util::write_frame(far, static_cast<std::uint32_t>(MsgType::kLeaseGrant),
                     junk);
   Frame frame;
-  ASSERT_TRUE(util::read_frame(near, frame, kMaxFrameBytes));
+  ASSERT_TRUE(util::read_frame(near, frame, util::kMaxFrameBytes));
   try {
     (void)decode_lease_grant(frame, near.peer());
     FAIL() << "truncated field must throw";
@@ -300,7 +304,7 @@ TEST(Protocol, TrailingBytesAfterValidPayloadAreRejected) {
   util::write_frame(far, static_cast<std::uint32_t>(MsgType::kHelloOk),
                     payload);
   Frame frame;
-  ASSERT_TRUE(util::read_frame(near, frame, kMaxFrameBytes));
+  ASSERT_TRUE(util::read_frame(near, frame, util::kMaxFrameBytes));
   try {
     (void)decode_hello_ok(frame, near.peer());
     FAIL() << "trailing bytes must throw";
@@ -524,6 +528,135 @@ TEST(Coordinator, RequiresSpoolDirAndStoreOut) {
   Coordinator::Options no_store;
   no_store.spool_dir = "/tmp";
   EXPECT_THROW(Coordinator(spec, no_store), std::invalid_argument);
+}
+
+// ---------------------------------------------------------------------------
+// Connection lifetime: lease expiry under a live peer, the drain after
+// the grace period, and reaping under churn.
+
+/// A hand-driven peer on a socketpair the coordinator adopts: it says
+/// HELLO and then does only what the test makes it do.
+Socket hello_peer(Coordinator& coordinator, const std::string& fingerprint,
+                  const std::string& name, MsgType expected_answer) {
+  auto [near, far] = Socket::socketpair(name);
+  coordinator.adopt(std::move(far));
+  send(near, Hello{kProtocolVersion, fingerprint, name});
+  Frame frame;
+  EXPECT_TRUE(receive(near, frame));
+  EXPECT_EQ(frame.type, static_cast<std::uint32_t>(expected_answer));
+  return std::move(near);
+}
+
+TEST(Coordinator, StalledLiveWorkerLeaseExpiresAndIsReLeased) {
+  const fs::path dir = scratch("stalled_live_worker");
+  const CampaignSpec spec = small_spec(21, 3);  // 12 items, 4 leases
+  const std::string reference = reference_columnar_bytes(spec, dir);
+
+  auto options = coordinator_options(dir);
+  options.lease_ttl_ms = 300;
+  Coordinator coordinator(spec, options);
+  // The staller takes one grant, then heartbeats only a lease it does not
+  // hold: its connection stays alive, so only TTL expiry frees the range.
+  Socket staller =
+      hello_peer(coordinator, spec.fingerprint(), "staller", MsgType::kHelloOk);
+  send(staller, LeaseRequest{});
+  Frame frame;
+  ASSERT_TRUE(receive(staller, frame));
+  const LeaseGrant grant = decode_lease_grant(frame, staller.peer());
+  std::atomic<bool> stop{false};
+  std::thread heartbeats([&staller, &stop, &grant] {
+    try {
+      Frame ack;
+      while (!stop.load()) {
+        send(staller, Heartbeat{grant.lease_id + 1000});
+        if (!receive(staller, ack)) return;
+        std::this_thread::sleep_for(std::chrono::milliseconds(50));
+      }
+    } catch (const util::SocketError&) {
+      // Cut off by the drain.
+    }
+  });
+
+  FakeWorker worker(spec, coordinator, named("finisher"));
+  const Coordinator::Report report = coordinator.serve();
+  worker.join();
+  stop.store(true);
+  heartbeats.join();
+
+  EXPECT_EQ(worker.error(), "");
+  EXPECT_GE(report.leases_expired, 1u);
+  EXPECT_EQ(worker.report().items_executed, spec.item_count());
+  EXPECT_EQ(slurp(options.store_out), reference);
+}
+
+TEST(Coordinator, SilentPeerDoesNotHoldServeOpenPastTheGrace) {
+  const fs::path dir = scratch("silent_peer");
+  const CampaignSpec spec = small_spec(22, 2);
+  const std::string reference = reference_columnar_bytes(spec, dir);
+
+  auto options = coordinator_options(dir);
+  options.lease_ttl_ms = 2'000;
+  options.heartbeat_ms = 100;
+  Coordinator coordinator(spec, options);
+  Socket silent =
+      hello_peer(coordinator, spec.fingerprint(), "silent", MsgType::kHelloOk);
+  FakeWorker worker(spec, coordinator, named("worker"));
+  auto served = std::async(std::launch::async,
+                           [&coordinator] { return coordinator.serve(); });
+  worker.join();  // the campaign is done and the worker said goodbye
+  const auto done = std::chrono::steady_clock::now();
+  const Coordinator::Report report = served.get();
+  const auto waited = std::chrono::steady_clock::now() - done;
+
+  EXPECT_LT(waited, std::chrono::milliseconds(4 * options.heartbeat_ms +
+                                              1'000))
+      << "serve() waited out the silent peer's receive timeout";
+  EXPECT_EQ(worker.error(), "");
+  EXPECT_EQ(report.workers_seen, 2u);
+  EXPECT_EQ(slurp(options.store_out), reference);
+  Frame frame;
+  EXPECT_FALSE(receive(silent, frame)) << "the drain cuts the peer off";
+}
+
+TEST(Coordinator, RejectedPeerChurnLeavesMemoryThreadsAndFdsAtBaseline) {
+  if (!soak::ProcessUsage::now().available()) GTEST_SKIP() << "no /proc";
+  soak::cap_malloc_arenas();
+  const fs::path dir = scratch("rejected_churn");
+  const CampaignSpec spec = small_spec(23, 1);
+  const auto options = coordinator_options(dir);
+  Coordinator coordinator(spec, options);
+  const auto churn = [&coordinator](int peers) {
+    for (int i = 0; i < peers; ++i) {
+      (void)hello_peer(coordinator, "bogus-fingerprint", "churn",
+                       MsgType::kHelloReject);
+    }
+  };
+  // Handlers finish after their peers hang up; wait (bounded) until the
+  // coordinator's gauge says none is left.
+  const auto await_no_peers = [] {
+    for (int i = 0; i < 2000; ++i) {
+      if (util::telemetry::snapshot().gauges["dist.workers_connected"] ==
+          0.0) {
+        return true;
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    return false;
+  };
+  // The warm-up pass fills the allocator's and the stack caches; the
+  // measured pass must not grow anything.
+  churn(2'000);
+  ASSERT_TRUE(await_no_peers());
+  const soak::ProcessUsage base = soak::ProcessUsage::now();
+  churn(5'000);
+  ASSERT_TRUE(await_no_peers());
+  soak::expect_near_baseline(base, soak::settled_usage(base));
+
+  FakeWorker honest(spec, coordinator, named("honest"));
+  const Coordinator::Report report = coordinator.serve();
+  honest.join();
+  EXPECT_EQ(report.workers_rejected, 7'000u);
+  EXPECT_EQ(slurp(options.store_out), reference_columnar_bytes(spec, dir));
 }
 
 }  // namespace

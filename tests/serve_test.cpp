@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -22,6 +23,7 @@
 #include <thread>
 #include <vector>
 
+#include "process_usage.hpp"
 #include "ulpdream/campaign/columnar.hpp"
 #include "ulpdream/campaign/session.hpp"
 #include "ulpdream/campaign/spec.hpp"
@@ -574,6 +576,113 @@ TEST(ServeDaemon, TelemetryCountsQueriesHitsAndCacheGauges) {
   const auto gauge = metrics.gauges.find("serve.cache.entries");
   ASSERT_NE(gauge, metrics.gauges.end());
   EXPECT_EQ(gauge->second, 1.0);
+}
+
+// ---------------------------------------------------------------------------
+// Connection lifetime: reaping under churn, and the drain.
+
+/// Asks `spec` over a raw socket and returns the Result frame (skipping
+/// Progress frames).
+Result ask_raw(Socket& socket, const CampaignSpec& spec) {
+  send(socket, Query{kProtocolVersion, spec, true, false, {}});
+  Frame frame;
+  while (receive(socket, frame) &&
+         frame.type == static_cast<std::uint32_t>(MsgType::kProgress)) {
+  }
+  return decode_result(frame, socket.peer());
+}
+
+TEST(ServeDaemon, ClientChurnLeavesMemoryThreadsAndFdsAtBaseline) {
+  if (!soak::ProcessUsage::now().available()) GTEST_SKIP() << "no /proc";
+  soak::cap_malloc_arenas();
+  const fs::path dir = scratch("daemon_churn");
+  const CampaignSpec spec = small_spec(39);
+  DaemonFixture fixture(dir);
+  const std::vector<std::uint8_t> cold =
+      fixture.connect().query(spec).store_bytes;
+  ASSERT_EQ(as_text(cold), reference_columnar_bytes(spec, dir));
+
+  // `sequential` connect/close clients, then 64 concurrent clients that
+  // each ask a real exact hit.
+  const auto churn = [&fixture, &spec, &cold](int sequential) {
+    for (int i = 0; i < sequential; ++i) {
+      (void)Socket::connect(fixture.daemon().endpoint());
+    }
+    std::atomic<int> wrong{0};
+    std::vector<std::thread> clients;
+    for (int i = 0; i < 64; ++i) {
+      clients.emplace_back([&fixture, &spec, &cold, &wrong] {
+        try {
+          const Result hit = fixture.connect().query(spec);
+          if (hit.status != CacheStatus::kHit || hit.store_bytes != cold) {
+            ++wrong;
+          }
+        } catch (const std::exception&) {
+          ++wrong;
+        }
+      });
+    }
+    for (std::thread& client : clients) client.join();
+    EXPECT_EQ(wrong.load(), 0);
+  };
+  // Handlers finish after their clients hang up; wait (bounded) until the
+  // daemon's gauge says none is left.
+  const auto await_no_clients = [&fixture] {
+    for (int i = 0; i < 2000; ++i) {
+      if (fixture.daemon().telemetry().gauges["serve.clients_connected"] ==
+          0.0) {
+        return true;
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    return false;
+  };
+  // The warm-up pass fills the allocator's and the stack caches; the
+  // measured pass must not grow anything.
+  churn(2'000);
+  ASSERT_TRUE(await_no_clients());
+  const soak::ProcessUsage base = soak::ProcessUsage::now();
+  churn(10'000);
+  ASSERT_TRUE(await_no_clients());
+  soak::expect_near_baseline(base, soak::settled_usage(base));
+  EXPECT_EQ(fixture.stop().clients, std::size_t(1 + 2 * 64 + 12'000));
+}
+
+TEST(ServeDaemon, StopMidQueryAnswersInFlightThenClosesIdleClients) {
+  const fs::path dir = scratch("daemon_stop_mid_query");
+  const CampaignSpec spec = small_spec(40, 8);
+  const std::string reference = reference_columnar_bytes(spec, dir);
+  DaemonFixture fixture(dir, /*progress_ms=*/1);
+
+  // An idle client the daemon has certainly accepted: one answered
+  // query, then silence.
+  Socket idle = Socket::connect(fixture.daemon().endpoint());
+  EXPECT_EQ(ask_raw(idle, small_spec(41)).status, CacheStatus::kCold);
+
+  Socket busy = Socket::connect(fixture.daemon().endpoint());
+  send(busy, Query{kProtocolVersion, spec, true, false, {}});
+  Frame frame;
+  ASSERT_TRUE(receive(busy, frame));
+  ASSERT_EQ(frame.type, static_cast<std::uint32_t>(MsgType::kProgress));
+  const Progress first = decode_progress(frame, busy.peer());
+  EXPECT_LT(first.items_done, first.items_total)
+      << "the stop should land while the cold query executes";
+  fixture.daemon().request_stop();
+
+  while (receive(busy, frame) &&
+         frame.type == static_cast<std::uint32_t>(MsgType::kProgress)) {
+  }
+  ASSERT_EQ(frame.type, static_cast<std::uint32_t>(MsgType::kResult));
+  const Result result = decode_result(frame, busy.peer());
+  EXPECT_EQ(result.status, CacheStatus::kCold);
+  EXPECT_EQ(as_text(result.store_bytes), reference);
+  EXPECT_FALSE(receive(busy, frame))
+      << "the daemon hangs up after answering the query in flight";
+  EXPECT_FALSE(receive(idle, frame)) << "an idle client sees EOF";
+
+  const Daemon::Report& report = fixture.stop();
+  EXPECT_EQ(report.queries, 2u);
+  EXPECT_EQ(report.cold_runs, 2u);
 }
 
 }  // namespace

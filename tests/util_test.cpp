@@ -16,12 +16,15 @@
 #include <thread>
 #include <vector>
 
+#include "process_usage.hpp"
 #include "ulpdream/util/cli.hpp"
+#include "ulpdream/util/conn_server.hpp"
 #include "ulpdream/util/socket.hpp"
 #include "ulpdream/util/rng.hpp"
 #include "ulpdream/util/stats.hpp"
 #include "ulpdream/util/table.hpp"
 #include "ulpdream/util/telemetry.hpp"
+#include "ulpdream/util/wire.hpp"
 #include "ulpdream/util/work_pool.hpp"
 
 namespace ulpdream::util {
@@ -573,6 +576,154 @@ TEST(Listener, BlockingAcceptSurvivesEintr) {
   handler.pelt(acceptor, done);
   acceptor.join();
   EXPECT_TRUE(accepted.valid());
+}
+
+// ---------------------------------------------------------------------------
+// ConnectionServer — the accept / reap / drain core under the daemon and
+// the coordinator.
+
+namespace {
+
+constexpr const char* kLiveGauge = "test.conn_server.live";
+
+/// The live-connection count the servers below publish.
+double live() { return telemetry::snapshot().gauges[kLiveGauge]; }
+
+/// Waits (bounded) until `count` connections are live.
+bool await_live(double count) {
+  for (int i = 0; i < 5000 && live() != count; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return live() == count;
+}
+
+}  // namespace
+
+TEST(ConnectionServer, DrainWakesABlockedReadWithEofAndTheAnswerStillGoesOut) {
+  const std::string unix_path =
+      (std::filesystem::temp_directory_path() / "ulpd_util_drain.sock")
+          .string();
+  for (const std::string transport : {"socketpair", "unix", "tcp"}) {
+    SCOPED_TRACE(transport);
+    Listener listener;
+    if (transport == "unix") listener = Listener::open("unix:" + unix_path);
+    if (transport == "tcp") listener = Listener::open("127.0.0.1:0");
+    std::atomic<bool> saw_eof{false};
+    ConnectionServer server(
+        std::move(listener),
+        [&saw_eof](Socket& socket) {
+          Frame frame;
+          saw_eof = !read_frame(socket, frame, kMaxFrameBytes);
+          write_frame(socket, 7, {1, 2, 3});
+        },
+        kLiveGauge);
+    Socket client;
+    if (transport == "socketpair") {
+      auto [near, far] = Socket::socketpair("drain");
+      server.adopt(std::move(far));
+      client = std::move(near);
+    } else {
+      server.start();
+      client = Socket::connect(server.endpoint());
+    }
+    ASSERT_TRUE(await_live(1));
+
+    server.drain();
+    EXPECT_TRUE(saw_eof.load());
+    EXPECT_EQ(live(), 0.0);
+    Frame frame;
+    ASSERT_TRUE(read_frame(client, frame, kMaxFrameBytes));
+    EXPECT_EQ(frame.type, 7u);
+    EXPECT_EQ(frame.payload, (std::vector<std::uint8_t>{1, 2, 3}));
+    EXPECT_FALSE(read_frame(client, frame, kMaxFrameBytes))
+        << "the handler's socket must be closed once it returns";
+  }
+}
+
+TEST(ConnectionServer, RequestStopEndsServeAndLeavesLiveConnectionsToDrain) {
+  std::atomic<int> served{0};
+  ConnectionServer server(
+      Listener::open("127.0.0.1:0"),
+      [&served](Socket& socket) {
+        ++served;
+        Frame frame;
+        while (read_frame(socket, frame, kMaxFrameBytes)) {
+          write_frame(socket, frame.type, frame.payload);
+        }
+      },
+      kLiveGauge);
+  std::thread acceptor([&server] { server.serve(); });
+  Socket client = Socket::connect(server.endpoint());
+  write_frame(client, 3, {9});
+  Frame echo;
+  ASSERT_TRUE(read_frame(client, echo, kMaxFrameBytes));
+  EXPECT_EQ(echo.payload, (std::vector<std::uint8_t>{9}));
+
+  server.request_stop();
+  acceptor.join();  // serve() returned; the connection is still served
+  write_frame(client, 4, {8});
+  ASSERT_TRUE(read_frame(client, echo, kMaxFrameBytes));
+  EXPECT_EQ(echo.type, 4u);
+  EXPECT_EQ(live(), 1.0);
+
+  server.drain();
+  EXPECT_FALSE(read_frame(client, echo, kMaxFrameBytes));
+  EXPECT_EQ(served.load(), 1);
+}
+
+TEST(ConnectionServer, AdoptAfterDrainClosesTheSocketUnserved) {
+  std::atomic<int> served{0};
+  ConnectionServer server(
+      Listener(), [&served](Socket&) { ++served; }, kLiveGauge);
+  server.drain();
+  EXPECT_TRUE(server.draining());
+  auto [near, far] = Socket::socketpair("late");
+  server.adopt(std::move(far));
+  Frame frame;
+  EXPECT_FALSE(read_frame(near, frame, kMaxFrameBytes));
+  EXPECT_EQ(served.load(), 0);
+}
+
+TEST(ConnectionServer, DestructorDrainsHandlersBlockedInReads) {
+  std::atomic<int> finished{0};
+  std::vector<Socket> clients;
+  {
+    ConnectionServer server(
+        Listener(),
+        [&finished](Socket& socket) {
+          Frame frame;
+          (void)read_frame(socket, frame, kMaxFrameBytes);
+          ++finished;
+        },
+        kLiveGauge);
+    for (int i = 0; i < 4; ++i) {
+      auto [near, far] = Socket::socketpair("blocked");
+      server.adopt(std::move(far));
+      clients.push_back(std::move(near));
+    }
+    ASSERT_TRUE(await_live(4));
+  }
+  EXPECT_EQ(finished.load(), 4);
+}
+
+TEST(ConnectionServer, FinishedHandlersAreJoinedSoMemoryStaysFlat) {
+  if (!soak::ProcessUsage::now().available()) GTEST_SKIP() << "no /proc";
+  soak::cap_malloc_arenas();
+  ConnectionServer server(
+      Listener(), [](Socket&) {}, kLiveGauge);
+  const auto churn = [&server] {
+    for (int i = 0; i < 2000; ++i) {
+      auto [near, far] = Socket::socketpair("churn");
+      server.adopt(std::move(far));
+    }
+    ASSERT_TRUE(await_live(0));
+  };
+  // The first pass fills the allocator's and the stack caches; the
+  // second must not grow anything.
+  churn();
+  const soak::ProcessUsage base = soak::ProcessUsage::now();
+  churn();
+  soak::expect_near_baseline(base, soak::settled_usage(base));
 }
 
 }  // namespace
