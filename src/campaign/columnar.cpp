@@ -158,8 +158,10 @@ void write_header(BufferedFileWriter& w, const Layout& l,
   }
 }
 
-/// Staging-file name unique to this process (same convention as
-/// ResultStore::save_atomic).
+/// Staging-file name unique to this process: a second process publishing
+/// to the same path (overlapping runs, shard misconfiguration) overwrites
+/// its own staging file, never the bytes another writer is about to
+/// rename into place.
 std::string staging_name(const std::string& path) {
 #if defined(__unix__) || defined(__APPLE__)
   return path + ".tmp." + std::to_string(::getpid());
@@ -181,7 +183,7 @@ void ResultStore::save_columnar(const std::string& path) const {
   static const tel::Histogram save_ns("store.columnar.save_ns");
   const std::uint64_t t0 = tel::now_ns();
 
-  // Done items only, like the text save — a checkpoint never persists
+  // Done items only, like save() — a checkpoint never persists
   // preallocated-but-unexecuted slots.
   std::vector<std::size_t> done_slots;
   done_slots.reserve(item_index_.size());
@@ -282,13 +284,18 @@ ColumnarStore ColumnarStore::open(const std::string& path,
       size = store.view_->size();
     }
   } catch (const std::runtime_error& e) {
-    throw StoreError(path, e.what());
+    // The file layer's errors already lead with the path; keep the reason.
+    std::string what = e.what();
+    if (what.rfind(path + ": ", 0) == 0) what.erase(0, path.size() + 2);
+    throw StoreError(path, what);
   }
 
   // Header. Every count is validated against the real file size before
   // anything derived from it is dereferenced — a truncated or lying file
-  // fails typed, never with a read off the end of the mapping.
-  if (size < kFixedHeaderBytes) fail("truncated header");
+  // fails typed, never with a read off the end of the mapping. The magic
+  // goes first, so a foreign file (such as a text store from an older
+  // build) is named as one even when it is shorter than a header.
+  if (size < sizeof(kColumnarMagic)) fail("truncated header");
   char magic[8];
   if (store.reader_) {
     store.reader_->read(0, magic, sizeof(magic));
@@ -298,6 +305,7 @@ ColumnarStore ColumnarStore::open(const std::string& path,
   if (std::memcmp(magic, kColumnarMagic, sizeof(magic)) != 0) {
     fail("bad magic (not a columnar store file)");
   }
+  if (size < kFixedHeaderBytes) fail("truncated header");
   const auto u32_at = [&store](std::uint64_t offset) {
     return store.reader_ ? store.reader_->pod_at<std::uint32_t>(offset)
                          : store.view_->pod_at<std::uint32_t>(offset);

@@ -5,6 +5,8 @@
 #include <sstream>
 #include <vector>
 
+#include "scratch_dir.hpp"
+#include "ulpdream/campaign/columnar.hpp"
 #include "ulpdream/campaign/engine.hpp"
 #include "ulpdream/campaign/result_store.hpp"
 #include "ulpdream/campaign/spec.hpp"
@@ -299,20 +301,25 @@ TEST(CampaignEngine, RawStoreSaveLoadRoundTripsAcrossProcessesShape) {
   const CampaignSpec spec = tiny_spec();
   const CampaignEngine engine(energy::SystemEnergyModel(), 4);
   // Simulate the CLI's cross-process shard workflow: each shard saves its
-  // raw store to a stream; a fresh merge "process" reloads and merges.
-  std::vector<std::string> blobs;
+  // raw store to a file; a fresh merge "process" reopens and merges.
+  const test::ScratchDir dir("campaign_shard_files");
+  std::vector<std::string> paths;
   for (std::size_t i = 0; i < 2; ++i) {
-    std::ostringstream os;
-    engine.run(spec, Shard{i, 2}).save(os);
-    blobs.push_back(os.str());
+    paths.push_back(dir.file("shard" + std::to_string(i) + ".col"));
+    engine.run(spec, Shard{i, 2}).save_columnar(paths.back());
   }
   ResultStore merged(spec);
-  for (const std::string& blob : blobs) {
-    std::istringstream is(blob);
-    merged.merge(ResultStore::load(is, spec));
+  for (const std::string& path : paths) {
+    merged.merge(ColumnarStore::open(path, spec).materialize());
   }
   ASSERT_TRUE(merged.complete());
-  expect_rows_identical(engine.run(spec).aggregate(), merged.aggregate());
+  const ResultStore full = engine.run(spec);
+  expect_rows_identical(full.aggregate(), merged.aggregate());
+  std::ostringstream expected;
+  full.save(expected);
+  std::ostringstream actual;
+  merged.save(actual);
+  EXPECT_EQ(actual.str(), expected.str());
 }
 
 TEST(ResultStore, ShardStoresAreSparseAndScaleWithTheirSlice) {
@@ -326,11 +333,11 @@ TEST(ResultStore, ShardStoresAreSparseAndScaleWithTheirSlice) {
   EXPECT_EQ(shard.stored_items(), shard.items_done());
   EXPECT_FALSE(shard.complete());
 
-  // Loading a shard's save materializes only that shard's items.
-  std::ostringstream os;
-  shard.save(os);
-  std::istringstream is(os.str());
-  const ResultStore loaded = ResultStore::load(is, spec);
+  // Reopening a shard's save materializes only that shard's items.
+  const test::ScratchDir dir("campaign_sparse_shard");
+  shard.save_columnar(dir.file("shard.col"));
+  const ResultStore loaded =
+      ColumnarStore::open(dir.file("shard.col"), spec).materialize();
   EXPECT_EQ(loaded.stored_items(), shard.stored_items());
   EXPECT_EQ(loaded.items_done(), shard.items_done());
 
@@ -363,10 +370,10 @@ TEST(ResultStore, MergeAndLoadRejectSpecMismatch) {
   EXPECT_THROW(ResultStore(spec).merge(ResultStore(other.normalized())),
                std::invalid_argument);
 
-  std::ostringstream os;
-  ResultStore(spec).save(os);
-  std::istringstream is(os.str());
-  EXPECT_THROW((void)ResultStore::load(is, other), std::invalid_argument);
+  const test::ScratchDir dir("campaign_spec_mismatch");
+  ResultStore(spec).save_columnar(dir.file("empty.col"));
+  EXPECT_THROW((void)ColumnarStore::open(dir.file("empty.col"), other),
+               StoreError);
 }
 
 TEST(ResultStore, AggregateRequiresCompleteStore) {

@@ -48,10 +48,18 @@ expect 2 '--listen' daemon
 expect 2 '--cache-dir' daemon --listen=unix:/tmp/nowhere.sock
 expect 2 '--connect' query
 expect 2 '--shard' query --connect=unix:/tmp/nowhere.sock --shard=0/2
+# Stores have one format; the removed format switch must fail loudly.
+expect 2 '--store-format' --store-format=columnar --max-items=1
 
 # Runtime failures (exit 1): a well-formed invocation against a broken
 # world.
 expect 1 - --resume=/nonexistent/resume.bin --max-items=1
+# A text store written by an older build is refused, naming the file.
+old_store=$(mktemp "${TMPDIR:-/tmp}/ulpd_cli_smoke_XXXXXX")
+printf 'ulpdream-campaign-store v1\nfingerprint x\nmax_snr\nend\n' \
+    > "$old_store"
+expect 1 "$old_store" --resume="$old_store" --max-items=1
+rm -f "$old_store"
 expect 1 - work --connect=unix:/nonexistent/coordinator.sock
 expect 1 - query --connect=unix:/nonexistent/daemon.sock
 

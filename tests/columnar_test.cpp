@@ -1,9 +1,10 @@
-// The out-of-core columnar persistence contract: a columnar store must
-// reproduce the text format's aggregates bit-identically through every
+// The columnar persistence contract: a saved store must reproduce the
+// in-memory store's samples and aggregates bit-identically through every
 // access mode (mmap, buffered fallback, bounded streaming), every merge
 // strategy (in-memory vs append, any shard order) and a checkpoint round
-// trip — and every malformed, truncated or mismatched file must fail
-// with a typed StoreError naming the path, never an out-of-bounds read.
+// trip — and every malformed, truncated, mismatched or foreign file (a
+// text store from an older build included) must fail with a typed
+// StoreError naming the path, never an out-of-bounds read.
 
 #include <gtest/gtest.h>
 
@@ -14,10 +15,10 @@
 #include <string>
 #include <vector>
 
+#include "scratch_dir.hpp"
 #include "ulpdream/campaign/columnar.hpp"
 #include "ulpdream/campaign/result_store.hpp"
 #include "ulpdream/campaign/spec.hpp"
-#include "ulpdream/campaign/store_reader.hpp"
 
 namespace ulpdream::campaign {
 namespace {
@@ -121,25 +122,22 @@ void expect_rows_identical(const std::vector<AggregateRow>& a,
   }
 }
 
-/// RAII temp dir for store files.
-struct TempDir {
-  fs::path path;
-  TempDir() {
-    path = fs::temp_directory_path() /
-           ("ulpdream_columnar_test_" +
-            std::to_string(::testing::UnitTest::GetInstance()->random_seed()) +
-            "_" +
-            ::testing::UnitTest::GetInstance()
-                ->current_test_info()
-                ->name());
-    fs::remove_all(path);
-    fs::create_directories(path);
-  }
-  ~TempDir() { fs::remove_all(path); }
-  [[nodiscard]] std::string file(const std::string& name) const {
-    return (path / name).string();
-  }
+/// This test's scratch directory for store files.
+struct TempDir : test::ScratchDir {
+  TempDir()
+      : ScratchDir(std::string("columnar_") +
+                   ::testing::UnitTest::GetInstance()
+                       ->current_test_info()
+                       ->name()) {}
 };
+
+/// The bytes of `store` in the text format older builds wrote as a raw
+/// store (save() still renders it, for digests).
+std::string text_store_bytes(const ResultStore& store) {
+  std::ostringstream os;
+  store.save(os);
+  return os.str();
+}
 
 std::string read_file(const std::string& path) {
   std::ifstream is(path, std::ios::binary);
@@ -154,7 +152,7 @@ void write_file(const std::string& path, const std::string& bytes) {
 }
 
 // ---------------------------------------------------------------------------
-// Round trip and cross-format identity.
+// Round trip.
 
 TEST(Columnar, RoundTripPreservesEveryItemSampleAndCeiling) {
   const CampaignSpec spec = test_spec();
@@ -217,7 +215,7 @@ TEST(Columnar, SaveIsByteDeterministic) {
   EXPECT_FALSE(a.empty());
   EXPECT_EQ(a, read_file(dir.file("b.col")));
   // No staging file survives a successful publish.
-  for (const auto& entry : fs::directory_iterator(dir.path)) {
+  for (const auto& entry : fs::directory_iterator(dir.path())) {
     EXPECT_EQ(entry.path().filename().string().find(".tmp"),
               std::string::npos)
         << entry.path();
@@ -231,7 +229,7 @@ TEST(Columnar, FailedSaveLeavesNoPartialOrStagingFile) {
   const std::string bad = dir.file("missing_subdir/out.col");
   EXPECT_THROW(store.save_columnar(bad), std::runtime_error);
   EXPECT_FALSE(fs::exists(bad));
-  for (const auto& entry : fs::directory_iterator(dir.path)) {
+  for (const auto& entry : fs::directory_iterator(dir.path())) {
     EXPECT_EQ(entry.path().filename().string().find(".tmp"),
               std::string::npos)
         << entry.path();
@@ -313,34 +311,6 @@ TEST(Columnar, AppendMergeMatchesInMemoryMergeInEveryShardOrder) {
   }
 }
 
-TEST(Columnar, MixedFormatMergeThroughStoreReaderMatchesTheReference) {
-  const CampaignSpec spec = test_spec();
-  const ResultStore reference = full_store(spec);
-  TempDir dir;
-
-  // Shard 0+2 text, shard 1+3 columnar — the StoreReader seam folds them
-  // without the caller caring which is which.
-  std::vector<std::string> paths;
-  for (std::size_t s = 0; s < 4; ++s) {
-    ResultStore shard(spec);
-    fill(shard, 4, s);
-    const bool text = (s % 2) == 0;
-    paths.push_back(
-        dir.file("shard" + std::to_string(s) + (text ? ".store" : ".col")));
-    save_store(shard, paths.back(),
-               text ? StoreFormat::kText : StoreFormat::kColumnar);
-  }
-  ResultStore merged(spec);
-  for (const std::string& path : paths) {
-    merged.merge(StoreReader::open(path, spec).materialize());
-  }
-  std::ostringstream expected;
-  reference.save(expected);
-  std::ostringstream actual;
-  merged.save(actual);
-  EXPECT_EQ(actual.str(), expected.str());
-}
-
 TEST(Columnar, AppendMergeDeduplicatesOverlapsFirstDoneWins) {
   const CampaignSpec spec = test_spec();
   TempDir dir;
@@ -373,50 +343,6 @@ TEST(Columnar, AppendMergeDeduplicatesOverlapsFirstDoneWins) {
 }
 
 // ---------------------------------------------------------------------------
-// Format seam.
-
-TEST(StoreReaderSeam, DetectsBothFormatsAndRejectsForeignFiles) {
-  const CampaignSpec spec = test_spec();
-  const ResultStore store = full_store(spec);
-  TempDir dir;
-  store.save_atomic(dir.file("run.store"));
-  store.save_columnar(dir.file("run.col"));
-
-  EXPECT_EQ(detect_store_format(dir.file("run.store")), StoreFormat::kText);
-  EXPECT_EQ(detect_store_format(dir.file("run.col")), StoreFormat::kColumnar);
-
-  write_file(dir.file("junk.bin"), "PNG\x89 definitely not a store");
-  EXPECT_THROW((void)detect_store_format(dir.file("junk.bin")), StoreError);
-  write_file(dir.file("short.bin"), "abc");
-  EXPECT_THROW((void)detect_store_format(dir.file("short.bin")), StoreError);
-  EXPECT_THROW((void)detect_store_format(dir.file("absent.bin")), StoreError);
-
-  // Both formats answer the same queries identically through the seam.
-  const StoreReader text = StoreReader::open(dir.file("run.store"), spec);
-  const StoreReader col = StoreReader::open(dir.file("run.col"), spec);
-  EXPECT_EQ(text.format(), StoreFormat::kText);
-  EXPECT_EQ(col.format(), StoreFormat::kColumnar);
-  EXPECT_EQ(text.items_done(), col.items_done());
-  EXPECT_EQ(text.complete(), col.complete());
-  EXPECT_TRUE(text.item_done(0));
-  EXPECT_TRUE(col.item_done(0));
-  expect_rows_identical(col.aggregate(), text.aggregate());
-  std::ostringstream ta;
-  text.materialize().save(ta);
-  std::ostringstream ca;
-  col.materialize().save(ca);
-  EXPECT_EQ(ca.str(), ta.str());
-}
-
-TEST(StoreReaderSeam, ParseStoreFormatNamesTheValidValues) {
-  EXPECT_EQ(parse_store_format("text"), StoreFormat::kText);
-  EXPECT_EQ(parse_store_format("columnar"), StoreFormat::kColumnar);
-  EXPECT_THROW((void)parse_store_format("parquet"), std::invalid_argument);
-  EXPECT_STREQ(to_string(StoreFormat::kText), "text");
-  EXPECT_STREQ(to_string(StoreFormat::kColumnar), "columnar");
-}
-
-// ---------------------------------------------------------------------------
 // Malformed-file hardening. Every case must throw StoreError naming the
 // path — never crash, never read past the mapping.
 
@@ -436,6 +362,28 @@ void expect_open_fails(const std::string& path, const CampaignSpec& spec) {
           << e.what();
     }
   }
+}
+
+TEST(ColumnarHardening, OpenRejectsTextJunkShortAndAbsentFilesNamingThePath) {
+  const CampaignSpec spec = test_spec();
+  TempDir dir;
+  // A complete text store of this very grid, as older builds saved it:
+  // it is refused by its magic, not parsed.
+  write_file(dir.file("run.store"), text_store_bytes(full_store(spec)));
+  expect_open_fails(dir.file("run.store"), spec);
+  try {
+    (void)ColumnarStore::open(dir.file("run.store"), spec);
+    ADD_FAILURE() << "a text store opened as columnar";
+  } catch (const StoreError& e) {
+    EXPECT_NE(std::string(e.what()).find("bad magic"), std::string::npos)
+        << e.what();
+  }
+
+  write_file(dir.file("junk.bin"), "PNG\x89 definitely not a store");
+  expect_open_fails(dir.file("junk.bin"), spec);
+  write_file(dir.file("short.bin"), "abc");
+  expect_open_fails(dir.file("short.bin"), spec);
+  expect_open_fails(dir.file("absent.bin"), spec);
 }
 
 TEST(ColumnarHardening, TruncationAtEveryRegionFailsTyped) {
@@ -547,25 +495,20 @@ TEST(ColumnarHardening, CorruptDirectoryAndIndexFailTyped) {
 }
 
 TEST(ColumnarHardening, TextShortReadsFailTypedThroughTheSeam) {
+  // ColumnarStore::open is the one seam every store reader goes through
+  // (--resume, --merge-stores, dist, serve). A text store cut anywhere —
+  // inside its magic line, mid-line, just before its "end" marker — must
+  // fail there, typed and naming the file, on every backing.
   const CampaignSpec spec = test_spec();
   TempDir dir;
-  const std::string good_path = dir.file("run.store");
-  full_store(spec).save_atomic(good_path);
-  const std::string good = read_file(good_path);
-
-  // Cut the text stream mid-line and before the trailing "end" marker;
-  // the seam must surface a StoreError naming the file.
-  for (const std::size_t keep : {good.size() / 2, good.size() - 4}) {
+  const std::string good = text_store_bytes(full_store(spec));
+  for (const std::size_t keep :
+       {std::size_t{8}, std::size_t{40}, good.size() / 2,
+        good.size() - 4}) {
     SCOPED_TRACE(testing::Message() << "truncated to " << keep << " bytes");
     const std::string path = dir.file("trunc.store");
     write_file(path, good.substr(0, keep));
-    try {
-      (void)StoreReader::open(path, spec);
-      FAIL() << "expected StoreError";
-    } catch (const StoreError& e) {
-      EXPECT_EQ(e.path(), path);
-      EXPECT_NE(std::string(e.what()).find(path), std::string::npos);
-    }
+    expect_open_fails(path, spec);
   }
 }
 

@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "process_usage.hpp"
+#include "scratch_dir.hpp"
 #include "ulpdream/campaign/session.hpp"
 #include "ulpdream/campaign/spec.hpp"
 #include "ulpdream/dist/coordinator.hpp"
@@ -40,6 +41,7 @@ namespace ulpdream::dist {
 namespace {
 
 namespace fs = std::filesystem;
+using test::ScratchDir;
 using campaign::CampaignSpec;
 using campaign::RecordAxis;
 using util::Frame;
@@ -64,14 +66,6 @@ std::string slurp(const fs::path& path) {
   std::ostringstream os;
   os << is.rdbuf();
   return os.str();
-}
-
-/// Fresh scratch directory per test (spool + outputs).
-fs::path scratch(const std::string& name) {
-  const fs::path dir = fs::temp_directory_path() / ("ulpd_dist_" + name);
-  fs::remove_all(dir);
-  fs::create_directories(dir);
-  return dir;
 }
 
 /// The single-process reference: one Session, whole grid, save_columnar.
@@ -362,7 +356,7 @@ TEST(Protocol, MessagesRoundTripThroughTheWire) {
 // Coordinator + FakeWorker end-to-end.
 
 TEST(Coordinator, ThreeWorkersMergeByteIdenticalToSingleProcessRun) {
-  const fs::path dir = scratch("three_workers");
+  const ScratchDir dir("dist_three_workers");
   const CampaignSpec spec = small_spec(2016, 6);  // 24 items, 8 leases
   const std::string reference = reference_columnar_bytes(spec, dir);
 
@@ -399,7 +393,7 @@ TEST(Coordinator, ThreeWorkersMergeByteIdenticalToSingleProcessRun) {
 }
 
 TEST(Coordinator, WorkerDeathMidLeaseIsReleasedAndMergeStaysByteIdentical) {
-  const fs::path dir = scratch("mid_lease_death");
+  const ScratchDir dir("dist_mid_lease_death");
   const CampaignSpec spec = small_spec(99, 4);  // 16 items
   const std::string reference = reference_columnar_bytes(spec, dir);
 
@@ -423,7 +417,7 @@ TEST(Coordinator, WorkerDeathMidLeaseIsReleasedAndMergeStaysByteIdentical) {
 }
 
 TEST(Coordinator, WorkerDeathBetweenLeasesIsAbsorbed) {
-  const fs::path dir = scratch("between_lease_death");
+  const ScratchDir dir("dist_between_lease_death");
   const CampaignSpec spec = small_spec(7, 6);  // 24 items, 8 leases
   const std::string reference = reference_columnar_bytes(spec, dir);
 
@@ -450,7 +444,8 @@ TEST(Coordinator, SameNamedWorkersOfConcurrentCoordinatorsKeepTheirShards) {
   // collide, or one coordinator ingests the other's (or a vanished)
   // shard and serve() waits forever for a worker that is gone.
   const CampaignSpec spec = small_spec(31, 8);  // 32 items, 11 leases
-  const fs::path dirs[2] = {scratch("twin_a"), scratch("twin_b")};
+  const ScratchDir dirs[2] = {ScratchDir("dist_twin_a"),
+                              ScratchDir("dist_twin_b")};
   const std::string reference = reference_columnar_bytes(spec, dirs[0]);
 
   std::string merged[2];
@@ -475,7 +470,7 @@ TEST(Coordinator, SameNamedWorkersOfConcurrentCoordinatorsKeepTheirShards) {
 }
 
 TEST(Coordinator, FingerprintMismatchIsRejectedQuotingBothFingerprints) {
-  const fs::path dir = scratch("fingerprint_reject");
+  const ScratchDir dir("dist_fingerprint_reject");
   const CampaignSpec spec = small_spec(11, 2);
 
   const auto options = coordinator_options(dir);
@@ -497,7 +492,7 @@ TEST(Coordinator, FingerprintMismatchIsRejectedQuotingBothFingerprints) {
 }
 
 TEST(Coordinator, ProtocolVersionMismatchIsRejectedQuotingBothVersions) {
-  const fs::path dir = scratch("version_reject");
+  const ScratchDir dir("dist_version_reject");
   const CampaignSpec spec = small_spec(12, 2);
 
   const auto options = coordinator_options(dir);
@@ -548,7 +543,7 @@ Socket hello_peer(Coordinator& coordinator, const std::string& fingerprint,
 }
 
 TEST(Coordinator, StalledLiveWorkerLeaseExpiresAndIsReLeased) {
-  const fs::path dir = scratch("stalled_live_worker");
+  const ScratchDir dir("dist_stalled_live_worker");
   const CampaignSpec spec = small_spec(21, 3);  // 12 items, 4 leases
   const std::string reference = reference_columnar_bytes(spec, dir);
 
@@ -590,7 +585,7 @@ TEST(Coordinator, StalledLiveWorkerLeaseExpiresAndIsReLeased) {
 }
 
 TEST(Coordinator, SilentPeerDoesNotHoldServeOpenPastTheGrace) {
-  const fs::path dir = scratch("silent_peer");
+  const ScratchDir dir("dist_silent_peer");
   const CampaignSpec spec = small_spec(22, 2);
   const std::string reference = reference_columnar_bytes(spec, dir);
 
@@ -621,7 +616,7 @@ TEST(Coordinator, SilentPeerDoesNotHoldServeOpenPastTheGrace) {
 TEST(Coordinator, RejectedPeerChurnLeavesMemoryThreadsAndFdsAtBaseline) {
   if (!soak::ProcessUsage::now().available()) GTEST_SKIP() << "no /proc";
   soak::cap_malloc_arenas();
-  const fs::path dir = scratch("rejected_churn");
+  const ScratchDir dir("dist_rejected_churn");
   const CampaignSpec spec = small_spec(23, 1);
   const auto options = coordinator_options(dir);
   Coordinator coordinator(spec, options);

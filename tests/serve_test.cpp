@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "process_usage.hpp"
+#include "scratch_dir.hpp"
 #include "ulpdream/campaign/columnar.hpp"
 #include "ulpdream/campaign/session.hpp"
 #include "ulpdream/campaign/spec.hpp"
@@ -38,6 +39,7 @@ namespace ulpdream::serve {
 namespace {
 
 namespace fs = std::filesystem;
+using test::ScratchDir;
 using campaign::CampaignSpec;
 using campaign::RecordAxis;
 using util::Frame;
@@ -71,14 +73,6 @@ std::string as_text(const std::vector<std::uint8_t>& bytes) {
   return std::string(bytes.begin(), bytes.end());
 }
 
-/// Fresh scratch directory per test (cache dir + socket + outputs).
-fs::path scratch(const std::string& name) {
-  const fs::path dir = fs::temp_directory_path() / ("ulpd_serve_" + name);
-  fs::remove_all(dir);
-  fs::create_directories(dir);
-  return dir;
-}
-
 /// The single-process reference: one Session, whole grid, save_columnar.
 std::string reference_columnar_bytes(const CampaignSpec& spec,
                                      const fs::path& dir) {
@@ -99,9 +93,9 @@ campaign::ResultStore run_grid(const CampaignSpec& spec) {
 /// a joining stop in the destructor — every daemon test's harness.
 class DaemonFixture {
  public:
-  explicit DaemonFixture(const fs::path& dir, std::size_t progress_ms = 250) {
+  explicit DaemonFixture(const ScratchDir& dir, std::size_t progress_ms = 250) {
     Daemon::Options options;
-    options.listen = "unix:" + (dir / "daemon.sock").string();
+    options.listen = "unix:" + dir.socket("daemon.sock");
     options.cache_dir = (dir / "cache").string();
     options.progress_every_ms = progress_ms;
     options.threads = 2;
@@ -242,7 +236,7 @@ TEST(ServeCache, ResumablePrefixRequiresStrictRecordPrefixAndEqualAxes) {
 }
 
 TEST(ServeCache, AdoptedPrefixPlusGapRunMatchesColdRunByteForByte) {
-  const fs::path dir = scratch("adopt");
+  const ScratchDir dir("serve_adopt");
   const CampaignSpec prefix = small_spec(3, 1);
   const CampaignSpec superset = small_spec(3, 3);
 
@@ -273,7 +267,7 @@ TEST(ServeCache, AdoptedPrefixPlusGapRunMatchesColdRunByteForByte) {
 // ResultCache: LRU byte budget, restart rehydration, quarantine.
 
 TEST(ServeCache, EvictsLeastRecentlyUsedWhenOverByteBudget) {
-  const fs::path dir = scratch("lru");
+  const ScratchDir dir("serve_lru");
   ResultCache cache({(dir / "cache").string(), std::uint64_t(1) << 40});
   const CampaignSpec a = small_spec(1);
   const CampaignSpec b = small_spec(2);
@@ -300,7 +294,7 @@ TEST(ServeCache, EvictsLeastRecentlyUsedWhenOverByteBudget) {
 }
 
 TEST(ServeCache, NewestEntryIsKeptEvenAloneOverBudget) {
-  const fs::path dir = scratch("keep_newest");
+  const ScratchDir dir("serve_keep_newest");
   ResultCache cache({(dir / "cache").string(), 1});  // absurd budget
   const CampaignSpec spec = small_spec(7);
   const auto entry = cache.insert(spec, run_grid(spec));
@@ -310,7 +304,7 @@ TEST(ServeCache, NewestEntryIsKeptEvenAloneOverBudget) {
 }
 
 TEST(ServeCache, RehydratesEntriesByteIdenticalAfterRestart) {
-  const fs::path dir = scratch("rehydrate");
+  const ScratchDir dir("serve_rehydrate");
   const CampaignSpec a = small_spec(11);
   const CampaignSpec b = small_spec(12);
   std::string store_a;
@@ -331,7 +325,7 @@ TEST(ServeCache, RehydratesEntriesByteIdenticalAfterRestart) {
 }
 
 TEST(ServeCache, CorruptCacheFileIsQuarantinedWithTypedErrorNamingPath) {
-  const fs::path dir = scratch("quarantine");
+  const ScratchDir dir("serve_quarantine");
   const fs::path cache_dir = dir / "cache";
   fs::create_directories(cache_dir);
   const fs::path bogus = cache_dir / "00deadbeef00dead.ulpdcol";
@@ -354,7 +348,7 @@ TEST(ServeCache, CorruptCacheFileIsQuarantinedWithTypedErrorNamingPath) {
 }
 
 TEST(ServeCache, RenamedForeignStoreIsQuarantinedByFingerprintMismatch) {
-  const fs::path dir = scratch("foreign");
+  const ScratchDir dir("serve_foreign");
   const fs::path cache_dir = dir / "cache";
   const CampaignSpec spec = small_spec(21);
   {
@@ -381,7 +375,7 @@ TEST(ServeCache, RenamedForeignStoreIsQuarantinedByFingerprintMismatch) {
 // Daemon end to end, over real Unix sockets.
 
 TEST(ServeDaemon, ColdThenExactHitAnswerByteIdenticalStores) {
-  const fs::path dir = scratch("daemon_hit");
+  const ScratchDir dir("serve_daemon_hit");
   const CampaignSpec spec = small_spec(31);
   const std::string reference = reference_columnar_bytes(spec, dir);
 
@@ -411,7 +405,7 @@ TEST(ServeDaemon, ColdThenExactHitAnswerByteIdenticalStores) {
 }
 
 TEST(ServeDaemon, SupersetQueryGapFillsExecutingOnlyTheGap) {
-  const fs::path dir = scratch("daemon_gap");
+  const ScratchDir dir("serve_daemon_gap");
   const CampaignSpec prefix = small_spec(32, 1);
   const CampaignSpec superset = small_spec(32, 3);
 
@@ -432,7 +426,7 @@ TEST(ServeDaemon, SupersetQueryGapFillsExecutingOnlyTheGap) {
 }
 
 TEST(ServeDaemon, RestartAnswersWarmFromRehydratedCache) {
-  const fs::path dir = scratch("daemon_restart");
+  const ScratchDir dir("serve_daemon_restart");
   const CampaignSpec spec = small_spec(33);
   std::vector<std::uint8_t> cold_bytes;
   {
@@ -449,7 +443,7 @@ TEST(ServeDaemon, RestartAnswersWarmFromRehydratedCache) {
 }
 
 TEST(ServeDaemon, BadSpecAnswersErrorAndTheConnectionSurvives) {
-  const fs::path dir = scratch("daemon_badspec");
+  const ScratchDir dir("serve_daemon_badspec");
   DaemonFixture fixture(dir);
   Client client = fixture.connect();
 
@@ -473,7 +467,7 @@ TEST(ServeDaemon, BadSpecAnswersErrorAndTheConnectionSurvives) {
 }
 
 TEST(ServeDaemon, VersionMismatchIsRejectedQuotingBothNumbers) {
-  const fs::path dir = scratch("daemon_version");
+  const ScratchDir dir("serve_daemon_version");
   DaemonFixture fixture(dir);
   Socket socket = Socket::connect(fixture.daemon().endpoint());
   Query query;
@@ -490,7 +484,7 @@ TEST(ServeDaemon, VersionMismatchIsRejectedQuotingBothNumbers) {
 }
 
 TEST(ServeDaemon, GarbageFrameGetsAnErrorFrameNotACrash) {
-  const fs::path dir = scratch("daemon_garbage");
+  const ScratchDir dir("serve_daemon_garbage");
   DaemonFixture fixture(dir);
   Socket socket = Socket::connect(fixture.daemon().endpoint());
   util::write_frame(socket, static_cast<std::uint32_t>(MsgType::kQuery),
@@ -506,7 +500,7 @@ TEST(ServeDaemon, GarbageFrameGetsAnErrorFrameNotACrash) {
 }
 
 TEST(ServeDaemon, ConcurrentClientsAllGetCorrectAnswers) {
-  const fs::path dir = scratch("daemon_concurrent");
+  const ScratchDir dir("serve_daemon_concurrent");
   DaemonFixture fixture(dir);
   constexpr int kClients = 4;
   std::vector<std::string> bytes(kClients);
@@ -523,7 +517,7 @@ TEST(ServeDaemon, ConcurrentClientsAllGetCorrectAnswers) {
   for (int i = 0; i < kClients; ++i) {
     EXPECT_EQ(bytes[static_cast<std::size_t>(i)],
               reference_columnar_bytes(small_spec(100 + std::uint64_t(i)),
-                                       scratch("daemon_concurrent_ref")))
+                                       ScratchDir("serve_daemon_concurrent_ref")))
         << "client " << i;
   }
   const Daemon::Report& report = fixture.stop();
@@ -532,7 +526,7 @@ TEST(ServeDaemon, ConcurrentClientsAllGetCorrectAnswers) {
 }
 
 TEST(ServeDaemon, ExecutingQueriesStreamProgressAndHitsStreamNone) {
-  const fs::path dir = scratch("daemon_progress");
+  const ScratchDir dir("serve_daemon_progress");
   const CampaignSpec spec = small_spec(37);
   DaemonFixture fixture(dir, /*progress_ms=*/1);
   Client client = fixture.connect();
@@ -556,7 +550,7 @@ TEST(ServeDaemon, ExecutingQueriesStreamProgressAndHitsStreamNone) {
 }
 
 TEST(ServeDaemon, TelemetryCountsQueriesHitsAndCacheGauges) {
-  const fs::path dir = scratch("daemon_telemetry");
+  const ScratchDir dir("serve_daemon_telemetry");
   const CampaignSpec spec = small_spec(38);
   DaemonFixture fixture(dir);
   Client client = fixture.connect();
@@ -595,7 +589,7 @@ Result ask_raw(Socket& socket, const CampaignSpec& spec) {
 TEST(ServeDaemon, ClientChurnLeavesMemoryThreadsAndFdsAtBaseline) {
   if (!soak::ProcessUsage::now().available()) GTEST_SKIP() << "no /proc";
   soak::cap_malloc_arenas();
-  const fs::path dir = scratch("daemon_churn");
+  const ScratchDir dir("serve_daemon_churn");
   const CampaignSpec spec = small_spec(39);
   DaemonFixture fixture(dir);
   const std::vector<std::uint8_t> cold =
@@ -649,7 +643,7 @@ TEST(ServeDaemon, ClientChurnLeavesMemoryThreadsAndFdsAtBaseline) {
 }
 
 TEST(ServeDaemon, StopMidQueryAnswersInFlightThenClosesIdleClients) {
-  const fs::path dir = scratch("daemon_stop_mid_query");
+  const ScratchDir dir("serve_daemon_stop_mid_query");
   const CampaignSpec spec = small_spec(40, 8);
   const std::string reference = reference_columnar_bytes(spec, dir);
   DaemonFixture fixture(dir, /*progress_ms=*/1);

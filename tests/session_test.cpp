@@ -16,10 +16,11 @@
 #include <string>
 #include <vector>
 
+#include "scratch_dir.hpp"
+#include "ulpdream/campaign/columnar.hpp"
 #include "ulpdream/campaign/engine.hpp"
 #include "ulpdream/campaign/scenario.hpp"
 #include "ulpdream/campaign/session.hpp"
-#include "ulpdream/campaign/store_reader.hpp"
 
 namespace ulpdream::campaign {
 namespace {
@@ -42,9 +43,11 @@ std::string save_bytes(const ResultStore& store) {
   return os.str();
 }
 
-ResultStore load_bytes(const std::string& bytes, const CampaignSpec& spec) {
-  std::istringstream is(bytes);
-  return ResultStore::load(is, spec);
+std::string file_bytes(const std::string& path) {
+  std::ifstream is(path, std::ios::binary);
+  std::stringstream ss;
+  ss << is.rdbuf();
+  return ss.str();
 }
 
 /// The uninterrupted single-campaign reference: blocking engine, one
@@ -138,27 +141,30 @@ TEST(Session, EveryCheckpointResumesToTheIdenticalStore) {
   const CampaignSpec spec = small_spec(2016, 5);  // 10 items
   const std::string reference = reference_bytes(spec);
 
-  // Checkpoint after every item, capturing each snapshot's bytes — i.e.
-  // every possible interruption point of this run.
-  std::vector<std::string> checkpoints;
+  // Checkpoint after every item, each to its own file — i.e. every
+  // possible interruption point of this run.
+  const test::ScratchDir dir("session_every_ckpt");
+  std::vector<std::string> checkpoint_paths;
   {
     Session session(energy::SystemEnergyModel(), 4);
     SubmitOptions options;
     options.checkpoint_every = 1;
     options.on_checkpoint = [&](const ResultStore& snapshot) {
-      checkpoints.push_back(save_bytes(snapshot));
+      checkpoint_paths.push_back(
+          dir.file("ckpt" + std::to_string(checkpoint_paths.size()) + ".col"));
+      snapshot.save_columnar(checkpoint_paths.back());
     };
     const ResultStore store = session.submit(spec, options).wait();
     EXPECT_EQ(save_bytes(store), reference);
   }
-  ASSERT_EQ(checkpoints.size(), spec.item_count());
+  ASSERT_EQ(checkpoint_paths.size(), spec.item_count());
 
-  // Resume from the first, a middle and the last checkpoint, each loaded
-  // from bytes as a fresh process would.
-  for (const std::size_t at : {std::size_t{0}, checkpoints.size() / 2,
-                               checkpoints.size() - 1}) {
+  // Resume from every checkpoint, each reopened from its file as a fresh
+  // process would.
+  for (std::size_t at = 0; at < checkpoint_paths.size(); ++at) {
     SCOPED_TRACE(testing::Message() << "interrupted after checkpoint " << at);
-    const ResultStore snapshot = load_bytes(checkpoints[at], spec);
+    const ResultStore snapshot =
+        ColumnarStore::open(checkpoint_paths[at], spec).materialize();
     EXPECT_EQ(snapshot.items_done(), at + 1);
 
     Session session(energy::SystemEnergyModel(), 4);
@@ -174,88 +180,54 @@ TEST(Session, EveryCheckpointResumesToTheIdenticalStore) {
 }
 
 TEST(Session, ColumnarCheckpointResumesToTheIdenticalStore) {
-  // The out-of-core sibling of EveryCheckpointResumesToTheIdenticalStore:
-  // checkpoints persisted with save_columnar, reopened through the
-  // auto-detecting StoreReader as a fresh process would, must complete to
-  // the uninterrupted run bit-identically.
+  // The --checkpoint-every shape: every checkpoint overwrites one path
+  // through the staged publish, so whenever the file is looked at it is
+  // a complete store of exactly the items done so far. Reopen it after
+  // each landing, as a process resuming after a kill at that moment
+  // would, and resume from the first, a middle and the last of those.
   const CampaignSpec spec = small_spec(2016, 5);  // 10 items
   const std::string reference = reference_bytes(spec);
+  const test::ScratchDir dir("session_ckpt_overwrite");
+  const std::string path = dir.file("run.col");
 
-  const std::filesystem::path dir =
-      std::filesystem::temp_directory_path() / "ulpdream_columnar_ckpt";
-  std::filesystem::create_directories(dir);
-  std::vector<std::string> checkpoint_paths;
+  std::vector<ResultStore> reopened;
+  ResultStore store;
   {
     Session session(energy::SystemEnergyModel(), 4);
     SubmitOptions options;
     options.checkpoint_every = 1;
     options.on_checkpoint = [&](const ResultStore& snapshot) {
-      const std::string path =
-          (dir / ("ckpt" + std::to_string(checkpoint_paths.size()) + ".col"))
-              .string();
       snapshot.save_columnar(path);
-      checkpoint_paths.push_back(path);
+      reopened.push_back(ColumnarStore::open(path, spec).materialize());
+      EXPECT_EQ(save_bytes(reopened.back()), save_bytes(snapshot));
     };
-    const ResultStore store = session.submit(spec, options).wait();
+    store = session.submit(spec, options).wait();
     EXPECT_EQ(save_bytes(store), reference);
   }
-  ASSERT_EQ(checkpoint_paths.size(), spec.item_count());
+  ASSERT_EQ(reopened.size(), spec.item_count());
+  // The last overwrite left exactly the bytes a fresh save of the final
+  // store writes, and no staging file survives any publish.
+  store.save_columnar(dir.file("fresh.col"));
+  EXPECT_EQ(file_bytes(path), file_bytes(dir.file("fresh.col")));
+  for (const auto& entry : std::filesystem::directory_iterator(dir.path())) {
+    EXPECT_EQ(entry.path().filename().string().find(".tmp"),
+              std::string::npos)
+        << entry.path();
+  }
 
-  for (const std::size_t at : {std::size_t{0}, checkpoint_paths.size() / 2,
-                               checkpoint_paths.size() - 1}) {
+  for (const std::size_t at :
+       {std::size_t{0}, reopened.size() / 2, reopened.size() - 1}) {
     SCOPED_TRACE(testing::Message() << "interrupted after checkpoint " << at);
-    const StoreReader reader = StoreReader::open(checkpoint_paths[at], spec);
-    EXPECT_EQ(reader.format(), StoreFormat::kColumnar);
-    const ResultStore snapshot = reader.materialize();
-    EXPECT_EQ(snapshot.items_done(), at + 1);
-
+    EXPECT_EQ(reopened[at].items_done(), at + 1);
     Session session(energy::SystemEnergyModel(), 4);
     SubmitOptions resume;
-    resume.resume_from = &snapshot;
+    resume.resume_from = &reopened[at];
     const CampaignHandle handle = session.submit(spec, resume);
     const ResultStore completed = handle.wait();
     ASSERT_TRUE(completed.complete());
     EXPECT_EQ(save_bytes(completed), reference);
     EXPECT_EQ(handle.progress().items_resumed, at + 1);
   }
-  std::filesystem::remove_all(dir);
-}
-
-TEST(Session, SaveAtomicPublishesTheExactByteStreamAndCleansItsStaging) {
-  const CampaignSpec spec = small_spec(2016);
-  const CampaignEngine engine(energy::SystemEnergyModel(), 1);
-  const ResultStore store = engine.run(spec);
-  const std::string reference = save_bytes(store);
-
-  const std::filesystem::path dir =
-      std::filesystem::temp_directory_path() / "ulpdream_session_test";
-  std::filesystem::create_directories(dir);
-  const std::filesystem::path path = dir / "run.store";
-
-  // Fresh publish and an overwrite of an existing checkpoint both go
-  // through the staged rename.
-  for (int round = 0; round < 2; ++round) {
-    SCOPED_TRACE(testing::Message() << "round " << round);
-    store.save_atomic(path.string());
-    std::ifstream f(path, std::ios::binary);
-    std::stringstream bytes;
-    bytes << f.rdbuf();
-    EXPECT_EQ(bytes.str(), reference);
-    EXPECT_EQ(save_bytes(load_bytes(bytes.str(), spec)), reference);
-  }
-  // No staging file survives a successful publish (pid-suffixed or not).
-  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
-    EXPECT_EQ(entry.path().filename().string().find(".tmp"),
-              std::string::npos)
-        << entry.path();
-  }
-  // A failed publish (unwritable target directory) throws and leaves no
-  // partial file behind at the destination name.
-  const std::filesystem::path bad =
-      dir / "missing_subdir" / "run.store";
-  EXPECT_THROW(store.save_atomic(bad.string()), std::runtime_error);
-  EXPECT_FALSE(std::filesystem::exists(bad));
-  std::filesystem::remove_all(dir);
 }
 
 TEST(Session, ObserverStreamsEveryItemExactlyOnceWithItsExactSamples) {
@@ -371,31 +343,15 @@ TEST(Session, ScenarioSubmitsOntoAnAttachedSession) {
   // The blocking facade paths agree with the async one.
   EXPECT_EQ(save_bytes(scenario.run()), save_bytes(store));
   EXPECT_EQ(save_bytes(store), reference_bytes(scenario.build_spec()));
+  // ...and a blocking run persisted to disk reopens identically.
+  const test::ScratchDir dir("session_scenario_save");
+  scenario.run().save_columnar(dir.file("run.col"));
+  EXPECT_EQ(save_bytes(ColumnarStore::open(dir.file("run.col"),
+                                           scenario.build_spec())
+                           .materialize()),
+            save_bytes(store));
 
   EXPECT_THROW((void)Scenario().app("dwt").submit(), std::logic_error);
-}
-
-TEST(Session, ScenarioRunToPersistsInEitherFormatAndReopensIdentically) {
-  Scenario scenario;
-  scenario.app("dwt").emt("none").voltage(0.8).repetitions(2).seed(5);
-  const std::filesystem::path dir =
-      std::filesystem::temp_directory_path() / "ulpdream_scenario_run_to";
-  std::filesystem::create_directories(dir);
-
-  const ResultStore text_store =
-      scenario.run_to((dir / "run.store").string(), StoreFormat::kText);
-  const ResultStore col_store = scenario.run_to((dir / "run.col").string(),
-                                                StoreFormat::kColumnar);
-  EXPECT_EQ(save_bytes(text_store), save_bytes(col_store));
-
-  const CampaignSpec spec = scenario.build_spec();
-  const StoreReader text = StoreReader::open((dir / "run.store").string(), spec);
-  const StoreReader col = StoreReader::open((dir / "run.col").string(), spec);
-  EXPECT_EQ(text.format(), StoreFormat::kText);
-  EXPECT_EQ(col.format(), StoreFormat::kColumnar);
-  EXPECT_EQ(save_bytes(text.materialize()), save_bytes(text_store));
-  EXPECT_EQ(save_bytes(col.materialize()), save_bytes(text_store));
-  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

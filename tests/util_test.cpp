@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "process_usage.hpp"
+#include "scratch_dir.hpp"
 #include "ulpdream/util/cli.hpp"
 #include "ulpdream/util/conn_server.hpp"
 #include "ulpdream/util/socket.hpp"
@@ -277,7 +278,7 @@ TEST(FmtExact, RoundTripsDoublesBitExactly) {
 
 TEST(FmtExact, RoundTripsNonFiniteDoubles) {
   // to_chars writes inf/-inf/nan and from_chars reads them back, so the
-  // exact text formats (raw store, CSV) carry non-finite values loss-free.
+  // exact text exports (CSV, JSON) carry non-finite values loss-free.
   const double inf = std::numeric_limits<double>::infinity();
   EXPECT_EQ(fmt_exact(inf), "inf");
   EXPECT_EQ(fmt_exact(-inf), "-inf");
@@ -476,9 +477,8 @@ TEST(Socket, WriteToDeadPeerThrowsSocketErrorInsteadOfSigpipeDeath) {
 
 TEST(Listener, BindsOverAStaleUnixSocketFile) {
   namespace fs = std::filesystem;
-  const std::string path =
-      (fs::temp_directory_path() / "ulpd_util_stale.sock").string();
-  fs::remove(path);
+  const test::ScratchDir dir("util_stale");
+  const std::string path = dir.socket("stale.sock");
   // Fabricate the crash leftover: a bound socket whose owner is gone —
   // the file stays behind and a naive bind() would fail EADDRINUSE.
   const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
@@ -600,9 +600,8 @@ bool await_live(double count) {
 }  // namespace
 
 TEST(ConnectionServer, DrainWakesABlockedReadWithEofAndTheAnswerStillGoesOut) {
-  const std::string unix_path =
-      (std::filesystem::temp_directory_path() / "ulpd_util_drain.sock")
-          .string();
+  const test::ScratchDir dir("util_drain");
+  const std::string unix_path = dir.socket("drain.sock");
   for (const std::string transport : {"socketpair", "unix", "tcp"}) {
     SCOPED_TRACE(transport);
     Listener listener;
