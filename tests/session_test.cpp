@@ -206,14 +206,9 @@ TEST(Session, ColumnarCheckpointResumesToTheIdenticalStore) {
   }
   ASSERT_EQ(reopened.size(), spec.item_count());
   // The last overwrite left exactly the bytes a fresh save of the final
-  // store writes, and no staging file survives any publish.
+  // store writes.
   store.save_columnar(dir.file("fresh.col"));
   EXPECT_EQ(file_bytes(path), file_bytes(dir.file("fresh.col")));
-  for (const auto& entry : std::filesystem::directory_iterator(dir.path())) {
-    EXPECT_EQ(entry.path().filename().string().find(".tmp"),
-              std::string::npos)
-        << entry.path();
-  }
 
   for (const std::size_t at :
        {std::size_t{0}, reopened.size() / 2, reopened.size() - 1}) {
@@ -228,6 +223,39 @@ TEST(Session, ColumnarCheckpointResumesToTheIdenticalStore) {
     EXPECT_EQ(save_bytes(completed), reference);
     EXPECT_EQ(handle.progress().items_resumed, at + 1);
   }
+}
+
+TEST(Session, SaveAtomicPublishesTheExactByteStreamAndCleansItsStaging) {
+  // save_columnar is the one staged publish (PATH.tmp.<pid>, fsync,
+  // rename): a fresh publish and an overwrite of an existing checkpoint
+  // both land the exact bytes of the store and leave no staging file.
+  const CampaignSpec spec = small_spec(2016);
+  const CampaignEngine engine(energy::SystemEnergyModel(), 1);
+  const ResultStore store = engine.run(spec);
+  const std::string reference = save_bytes(store);
+  const test::ScratchDir dir("session_save_atomic");
+  const std::string path = dir.file("run.col");
+
+  store.save_columnar(dir.file("reference.col"));
+  const std::string reference_file = file_bytes(dir.file("reference.col"));
+  for (int round = 0; round < 2; ++round) {
+    SCOPED_TRACE(testing::Message() << "round " << round);
+    store.save_columnar(path);
+    EXPECT_EQ(file_bytes(path), reference_file);
+    EXPECT_EQ(save_bytes(ColumnarStore::open(path, spec).materialize()),
+              reference);
+  }
+  // No staging file survives a successful publish (pid-suffixed or not).
+  for (const auto& entry : std::filesystem::directory_iterator(dir.path())) {
+    EXPECT_EQ(entry.path().filename().string().find(".tmp"),
+              std::string::npos)
+        << entry.path();
+  }
+  // A failed publish (unwritable target directory) throws and leaves no
+  // partial file behind at the destination name.
+  const std::string bad = dir.file("missing_subdir/run.col");
+  EXPECT_THROW(store.save_columnar(bad), std::runtime_error);
+  EXPECT_FALSE(std::filesystem::exists(bad));
 }
 
 TEST(Session, ObserverStreamsEveryItemExactlyOnceWithItsExactSamples) {
@@ -343,15 +371,29 @@ TEST(Session, ScenarioSubmitsOntoAnAttachedSession) {
   // The blocking facade paths agree with the async one.
   EXPECT_EQ(save_bytes(scenario.run()), save_bytes(store));
   EXPECT_EQ(save_bytes(store), reference_bytes(scenario.build_spec()));
-  // ...and a blocking run persisted to disk reopens identically.
-  const test::ScratchDir dir("session_scenario_save");
-  scenario.run().save_columnar(dir.file("run.col"));
-  EXPECT_EQ(save_bytes(ColumnarStore::open(dir.file("run.col"),
-                                           scenario.build_spec())
-                           .materialize()),
-            save_bytes(store));
 
   EXPECT_THROW((void)Scenario().app("dwt").submit(), std::logic_error);
+}
+
+TEST(Session, ScenarioRunToPersistsInEitherFormatAndReopensIdentically) {
+  // Columnar is the one on-disk format: a scenario's blocking run saved
+  // with save_columnar reopens to the identical store, and two saves of
+  // the same scenario write identical files.
+  Scenario scenario;
+  scenario.app("dwt").emt("none").voltage(0.8).repetitions(2).seed(5);
+  const test::ScratchDir dir("session_scenario_save");
+
+  const ResultStore first = scenario.run();
+  first.save_columnar(dir.file("first.col"));
+  scenario.run().save_columnar(dir.file("second.col"));
+  EXPECT_EQ(file_bytes(dir.file("first.col")),
+            file_bytes(dir.file("second.col")));
+
+  const CampaignSpec spec = scenario.build_spec();
+  EXPECT_EQ(save_bytes(
+                ColumnarStore::open(dir.file("first.col"), spec).materialize()),
+            save_bytes(first));
+  EXPECT_EQ(save_bytes(first), reference_bytes(spec));
 }
 
 }  // namespace
