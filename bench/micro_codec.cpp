@@ -3,16 +3,25 @@
 //  - default: google-benchmark throughput of the EMT codecs, the
 //    faulty-memory access path and the main DSP kernels (built only when
 //    the library is available; used to size experiment runtimes);
-//  - --datapath: self-timed scalar-vs-block data-path comparison on the
-//    paper's 32 kB geometry — full-buffer write+read sweeps through
-//    ProtectedBuffer, word-at-a-time vs the span-based block API, for
-//    every EMT at a chosen supply voltage. Verifies the two paths are
-//    bit-identical (decoded words, CodecCounters, AccessStats) and emits
-//    machine-readable JSON (stdout, or --json FILE with a human summary
-//    on stdout). CI runs this as the perf-trajectory smoke step.
+//  - --datapath: self-timed data-path benchmark on the paper's 32 kB
+//    geometry at the call shapes the apps issue — one word at a time
+//    (ProtectedBuffer::set/get, as CS and the strided filter taps use it)
+//    and windows of 11, 27, 64 and 128 words (ProtectedBuffer::load/store:
+//    delineation scans, morphology windows, matrix rows and columns) —
+//    for every EMT at a chosen supply voltage. Each shape runs in two
+//    modes: "fill" writes a window and reads it back, so every read is
+//    the first since its write and pays the decode; "hit" re-reads an
+//    already written buffer, the cost of every further read. Verifies
+//    that the word and window paths are bit-identical (decoded words,
+//    CodecCounters, AccessStats) and that every shape and mode reads back
+//    the same checksum, and emits machine-readable JSON (stdout, or
+//    --json FILE with a human summary on stdout). --scramble turns the
+//    address scrambler on (the apps run without it). CI runs this as the
+//    perf-trajectory smoke step.
 //
 //    Example: micro_codec --datapath --volt 0.8 --json BENCH_datapath.json
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
@@ -54,34 +63,49 @@ namespace {
 
 constexpr std::uint64_t kScramblerSeed = 0xDA7A9A7Bu;
 
-struct DatapathRow {
-  std::string emt;
-  double scalar_maccess_s = 0.0;
-  double block_maccess_s = 0.0;
-  double speedup = 0.0;
-  bool identical = false;
-  std::uint64_t scalar_checksum = 0;  ///< per-pass decoded-output sum
-  std::uint64_t block_checksum = 0;   ///< must equal scalar_checksum
+/// Call shapes: 1 is the word path (set/get), the rest are window sizes.
+constexpr std::size_t kShapes[] = {1, 11, 27, 64, 128};
+
+struct ShapeTiming {
+  std::size_t window = 0;
+  double fill_ns_per_word = 0.0;
+  double hit_ns_per_word = 0.0;
 };
 
-/// One full write+read sweep of `src` through `buf`, word at a time.
-std::uint64_t scalar_pass(core::ProtectedBuffer& buf,
-                          const fixed::SampleVec& src) {
-  for (std::size_t i = 0; i < src.size(); ++i) buf.set(i, src[i]);
+struct DatapathRow {
+  std::string emt;
+  std::vector<ShapeTiming> shapes;
+  bool identical = false;
+  std::uint64_t checksum = 0;  ///< decoded-output sum of one buffer pass
+};
+
+std::uint64_t sum_words(std::span<const fixed::Sample> words) {
   std::uint64_t sum = 0;
-  for (std::size_t i = 0; i < src.size(); ++i) {
-    sum += static_cast<std::uint16_t>(buf.get(i));
-  }
+  for (const fixed::Sample s : words) sum += static_cast<std::uint16_t>(s);
   return sum;
 }
 
-/// The same sweep on the block path.
-std::uint64_t block_pass(core::ProtectedBuffer& buf,
-                         const fixed::SampleVec& src, fixed::SampleVec& dst) {
-  buf.load(0, std::span<const fixed::Sample>(src.data(), src.size()));
-  buf.store(0, std::span<fixed::Sample>(dst.data(), dst.size()));
+/// One pass over the whole buffer in `window`-word calls (the last one
+/// shorter when the window does not divide the buffer). With `src`, each
+/// window is written first ("fill"); without, it is only read ("hit").
+/// Returns the sum of the words read.
+std::uint64_t window_pass(core::ProtectedBuffer& buf, std::size_t window,
+                          const fixed::SampleVec* src, fixed::SampleVec& dst) {
   std::uint64_t sum = 0;
-  for (const fixed::Sample s : dst) sum += static_cast<std::uint16_t>(s);
+  const std::size_t words = buf.size();
+  for (std::size_t addr = 0; addr < words; addr += window) {
+    const std::size_t n = std::min(window, words - addr);
+    if (window == 1) {
+      if (src != nullptr) buf.set(addr, (*src)[addr]);
+      sum += static_cast<std::uint16_t>(buf.get(addr));
+      continue;
+    }
+    if (src != nullptr) {
+      buf.load(addr, std::span<const fixed::Sample>(src->data() + addr, n));
+    }
+    buf.store(addr, std::span<fixed::Sample>(dst.data(), n));
+    sum += sum_words(std::span<const fixed::Sample>(dst.data(), n));
+  }
   return sum;
 }
 
@@ -90,62 +114,51 @@ bool stats_equal(const mem::AccessStats& a, const mem::AccessStats& b) {
          a.bank_reads == b.bank_reads && a.bank_writes == b.bank_writes;
 }
 
-/// Bit-identity check: scalar and block sweeps over identical systems must
-/// produce the same decoded words, codec counters and access stats.
-bool paths_identical(const core::Emt& emt, const mem::FaultMap& map,
-                     const fixed::SampleVec& src) {
-  fixed::SampleVec scalar_out(src.size());
-  fixed::SampleVec block_out(src.size());
-  core::CodecCounters scalar_counters;
-  core::CodecCounters block_counters;
-  mem::AccessStats scalar_data;
-  mem::AccessStats block_data;
-  mem::AccessStats scalar_side;
-  mem::AccessStats block_side;
-
-  {
-    core::MemorySystem system(emt, src.size());
-    system.attach_faults(&map);
-    system.set_scrambler(kScramblerSeed);
-    auto buf = core::ProtectedBuffer::allocate(system, src.size());
-    for (std::size_t i = 0; i < src.size(); ++i) buf.set(i, src[i]);
-    for (std::size_t i = 0; i < src.size(); ++i) scalar_out[i] = buf.get(i);
-    scalar_counters = system.counters();
-    scalar_data = system.data().stats();
-    if (const auto* side = system.safe()) scalar_side = side->stats();
-  }
-  {
-    core::MemorySystem system(emt, src.size());
-    system.attach_faults(&map);
-    system.set_scrambler(kScramblerSeed);
-    auto buf = core::ProtectedBuffer::allocate(system, src.size());
-    buf.load(0, std::span<const fixed::Sample>(src.data(), src.size()));
-    buf.store(0, std::span<fixed::Sample>(block_out.data(), block_out.size()));
-    block_counters = system.counters();
-    block_data = system.data().stats();
-    if (const auto* side = system.safe()) block_side = side->stats();
-  }
-  return scalar_out == block_out &&
-         scalar_counters.decodes == block_counters.decodes &&
-         scalar_counters.corrected_words == block_counters.corrected_words &&
-         scalar_counters.detected_uncorrectable ==
-             block_counters.detected_uncorrectable &&
-         stats_equal(scalar_data, block_data) &&
-         stats_equal(scalar_side, block_side);
+core::MemorySystem make_system(const core::Emt& emt, const mem::FaultMap& map,
+                               std::size_t words, bool scramble) {
+  core::MemorySystem system(emt, words);
+  system.attach_faults(&map);
+  if (scramble) system.set_scrambler(kScramblerSeed);
+  return system;
 }
 
-/// Median-free simple timing: repeats passes until `min_seconds` of work
-/// is accumulated and reports accesses (reads + writes) per second.
-/// `checksum` receives the (deterministic) per-pass output sum, and every
-/// timed pass's result goes through an optimization barrier so no part of
-/// the sweep can be dead-code-eliminated.
+/// Bit-identity check: word-at-a-time and whole-buffer block sweeps over
+/// identical systems must produce the same decoded words, codec counters
+/// and access stats.
+bool paths_identical(const core::Emt& emt, const mem::FaultMap& map,
+                     const fixed::SampleVec& src, bool scramble) {
+  fixed::SampleVec scalar_out(src.size());
+  fixed::SampleVec block_out(src.size());
+  core::MemorySystem scalar = make_system(emt, map, src.size(), scramble);
+  core::MemorySystem block = make_system(emt, map, src.size(), scramble);
+  auto scalar_buf = core::ProtectedBuffer::allocate(scalar, src.size());
+  auto block_buf = core::ProtectedBuffer::allocate(block, src.size());
+  for (std::size_t i = 0; i < src.size(); ++i) scalar_buf.set(i, src[i]);
+  for (std::size_t i = 0; i < src.size(); ++i) scalar_out[i] = scalar_buf.get(i);
+  block_buf.load(0, std::span<const fixed::Sample>(src.data(), src.size()));
+  block_buf.store(0, std::span<fixed::Sample>(block_out.data(), src.size()));
+  const core::CodecCounters& a = scalar.counters();
+  const core::CodecCounters& b = block.counters();
+  const bool side_equal =
+      scalar.safe() == nullptr ||
+      stats_equal(scalar.safe()->stats(), block.safe()->stats());
+  return scalar_out == block_out && a.decodes == b.decodes &&
+         a.corrected_words == b.corrected_words &&
+         a.detected_uncorrectable == b.detected_uncorrectable &&
+         stats_equal(scalar.data().stats(), block.data().stats()) &&
+         side_equal;
+}
+
+/// Repeats `pass` until `min_seconds` of work is accumulated and returns
+/// ns per buffer word. The untimed warm-up pass (touches every page,
+/// fills caches) must return `checksum`, and so must every timed pass;
+/// each result goes through an optimization barrier so no part of the
+/// sweep can be dead-code-eliminated. A divergence clears `ok`.
 template <typename Pass>
 double time_pass(Pass&& pass, std::size_t words, double min_seconds,
-                 std::uint64_t& checksum) {
+                 std::uint64_t checksum, bool& ok) {
   using Clock = std::chrono::steady_clock;
-  // Warm-up pass (touches every page, fills caches) — its sum is the
-  // checksum the JSON reports; every timed pass must reproduce it.
-  checksum = pass();
+  ok = ok && pass() == checksum;
   std::uint64_t mismatches = 0;
   std::uint64_t reps = 0;
   const Clock::time_point start = Clock::now();
@@ -158,13 +171,12 @@ double time_pass(Pass&& pass, std::size_t words, double min_seconds,
     elapsed = std::chrono::duration<double>(Clock::now() - start).count();
   } while (elapsed < min_seconds);
   if (mismatches != 0) {
-    std::fprintf(stderr, "datapath: %llu non-deterministic passes\n",
+    std::fprintf(stderr, "datapath: %llu passes read a different checksum\n",
                  static_cast<unsigned long long>(mismatches));
-    checksum = 0;  // poison: the JSON consumer sees the divergence
+    ok = false;
   }
-  const double accesses =
-      static_cast<double>(reps) * 2.0 * static_cast<double>(words);
-  return accesses / elapsed;
+  return elapsed * 1e9 /
+         (static_cast<double>(reps) * static_cast<double>(words));
 }
 
 /// The benchmark's own telemetry, embedded so BENCH_datapath.json is
@@ -190,7 +202,7 @@ void write_telemetry_block(std::ostream& os,
 }
 
 void write_json(std::ostream& os, double volt, double ber, std::size_t words,
-                const std::vector<DatapathRow>& rows) {
+                bool scramble, const std::vector<DatapathRow>& rows) {
   os << "{\n";
   os << "  \"benchmark\": \"datapath\",\n";
   os << "  \"geometry\": {\"words\": " << words
@@ -198,33 +210,37 @@ void write_json(std::ostream& os, double volt, double ber, std::size_t words,
      << ", \"bytes\": " << mem::MemoryGeometry::kBytes << "},\n";
   os << "  \"voltage_v\": " << volt << ",\n";
   os << "  \"ber\": " << ber << ",\n";
-  os << "  \"accesses_per_pass\": " << 2 * words << ",\n";
+  os << "  \"scrambled\": " << (scramble ? "true" : "false") << ",\n";
   os << "  \"simd_tier\": \""
      << util::simd::tier_name(util::simd::active_tier()) << "\",\n";
   write_telemetry_block(os, util::telemetry::snapshot());
   os << "  \"results\": [\n";
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const DatapathRow& r = rows[i];
-    os << "    {\"emt\": \"" << r.emt << "\", \"scalar_maccess_s\": "
-       << r.scalar_maccess_s << ", \"block_maccess_s\": " << r.block_maccess_s
-       << ", \"speedup\": " << r.speedup
-       << ", \"identical\": " << (r.identical ? "true" : "false")
-       << ", \"scalar_checksum\": " << r.scalar_checksum
-       << ", \"block_checksum\": " << r.block_checksum << "}"
-       << (i + 1 < rows.size() ? "," : "") << "\n";
+    os << "    {\"emt\": \"" << r.emt
+       << "\", \"identical\": " << (r.identical ? "true" : "false")
+       << ", \"checksum\": " << r.checksum << ", \"shapes\": [";
+    for (std::size_t j = 0; j < r.shapes.size(); ++j) {
+      const ShapeTiming& t = r.shapes[j];
+      os << (j == 0 ? "" : ", ") << "{\"window\": " << t.window
+         << ", \"fill_ns_per_word\": " << t.fill_ns_per_word
+         << ", \"hit_ns_per_word\": " << t.hit_ns_per_word << "}";
+    }
+    os << "]}" << (i + 1 < rows.size() ? "," : "") << "\n";
   }
   os << "  ]\n";
   os << "}\n";
 }
 
 int run_datapath(const util::Cli& cli) {
-  // The bench is a telemetry scraper: turn the gated block-latency
-  // histograms on and start from zero so the embedded JSON block
-  // describes exactly this run.
-  util::telemetry::set_hot_timing(true);
+  // The timed passes run dark: the gated block-latency clock reads cost
+  // more than a short window's transfer. One extra metered fill pass per
+  // shape records the histograms the embedded JSON block reports,
+  // starting from zero so it describes exactly this run.
   util::telemetry::reset_metrics();
   const double volt = cli.get_double("volt", 0.8);
-  const double min_seconds = cli.get_double("min-time", 0.15);
+  const double min_seconds = cli.get_double("min-time", 0.1);
+  const bool scramble = cli.has("scramble");
   const std::size_t words = static_cast<std::size_t>(
       cli.get_int("words", static_cast<std::int64_t>(
                                mem::MemoryGeometry::kWords16)));
@@ -250,52 +266,58 @@ int run_datapath(const util::Cli& cli) {
     const auto emt = core::make_emt(name);
     DatapathRow row;
     row.emt = emt->name();
-    row.identical = paths_identical(*emt, map, src);
-    all_identical = all_identical && row.identical;
+    row.identical = paths_identical(*emt, map, src, scramble);
 
-    core::MemorySystem system(*emt, words);
-    system.attach_faults(&map);
-    system.set_scrambler(kScramblerSeed);
+    core::MemorySystem system = make_system(*emt, map, words, scramble);
     auto buf = core::ProtectedBuffer::allocate(system, words);
     fixed::SampleVec dst(words);
-
-    row.scalar_maccess_s =
-        time_pass([&] { return scalar_pass(buf, src); }, words, min_seconds,
-                  row.scalar_checksum) /
-        1e6;
-    row.block_maccess_s =
-        time_pass([&] { return block_pass(buf, src, dst); }, words,
-                  min_seconds, row.block_checksum) /
-        1e6;
-    row.speedup = row.block_maccess_s / row.scalar_maccess_s;
-    // Both sweeps decode the same stored data, so the checksums must
-    // agree — a cheap second witness alongside paths_identical().
-    row.identical = row.identical && row.scalar_checksum == row.block_checksum;
+    buf.load(0, std::span<const fixed::Sample>(src.data(), words));
+    buf.store(0, std::span<fixed::Sample>(dst.data(), words));
+    row.checksum = sum_words(dst);
+    for (const std::size_t window : kShapes) {
+      ShapeTiming t;
+      t.window = window;
+      t.fill_ns_per_word = time_pass(
+          [&] { return window_pass(buf, window, &src, dst); }, words,
+          min_seconds, row.checksum, row.identical);
+      t.hit_ns_per_word = time_pass(
+          [&] { return window_pass(buf, window, nullptr, dst); }, words,
+          min_seconds, row.checksum, row.identical);
+      row.shapes.push_back(t);
+      util::telemetry::set_hot_timing(true);
+      row.identical =
+          row.identical && window_pass(buf, window, &src, dst) == row.checksum;
+      util::telemetry::set_hot_timing(false);
+    }
     all_identical = all_identical && row.identical;
     rows.push_back(row);
 
-    std::fprintf(stderr,
-                 "datapath %-12s scalar %8.2f Macc/s  block %8.2f Macc/s  "
-                 "speedup %.2fx  identical=%s  checksum=%llu\n",
-                 row.emt.c_str(), row.scalar_maccess_s, row.block_maccess_s,
-                 row.speedup, row.identical ? "yes" : "NO",
-                 static_cast<unsigned long long>(row.block_checksum));
+    std::fprintf(stderr, "datapath %-12s ns/word fill|hit:", row.emt.c_str());
+    for (const ShapeTiming& t : row.shapes) {
+      std::fprintf(stderr, "  w%zu %.2f|%.2f", t.window, t.fill_ns_per_word,
+                   t.hit_ns_per_word);
+    }
+    std::fprintf(stderr, "  identical=%s checksum=%llu\n",
+                 row.identical ? "yes" : "NO",
+                 static_cast<unsigned long long>(row.checksum));
   }
 
   const std::string json_path = cli.get("json", "");
   if (json_path.empty()) {
-    write_json(std::cout, volt, ber, words, rows);
+    write_json(std::cout, volt, ber, words, scramble, rows);
   } else {
     std::ofstream os(json_path);
     if (!os) {
       std::fprintf(stderr, "cannot open %s\n", json_path.c_str());
       return 1;
     }
-    write_json(os, volt, ber, words, rows);
+    write_json(os, volt, ber, words, scramble, rows);
     std::printf("wrote %s\n", json_path.c_str());
   }
   if (!all_identical) {
-    std::fprintf(stderr, "FAIL: block path diverged from scalar path\n");
+    std::fprintf(stderr,
+                 "FAIL: word and window paths diverged, or a pass read a "
+                 "different checksum\n");
     return 1;
   }
   return 0;
@@ -456,7 +478,7 @@ int main(int argc, char** argv) {
 #else
   std::fprintf(stderr,
                "google-benchmark not available; run with --datapath for the "
-               "scalar-vs-block data-path benchmark\n");
+               "data-path benchmark\n");
   return 1;
 #endif
 }

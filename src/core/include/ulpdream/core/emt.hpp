@@ -10,7 +10,11 @@
 //    memory kept at nominal voltage (DREAM stores sign + mask ID here).
 //
 // decode() reconstructs the sample from the possibly-corrupted payload and
-// the intact safe word. The split mirrors the hardware cost asymmetry that
+// the intact safe word. It must be a pure function of (payload, safe
+// word): the same inputs give the same sample and the same counter
+// effect, with no state kept between calls. core::MemorySystem relies on
+// this to decode each stored word once, when it is written, and replay
+// the result on every read (see protected_buffer.hpp). The split mirrors the hardware cost asymmetry that
 // drives the paper's energy result: payload bits pay scaled-memory energy
 // per access, safe bits pay nominal-voltage energy per access.
 //
@@ -54,7 +58,9 @@ class Emt {
       fixed::Sample s) const = 0;
   [[nodiscard]] virtual std::uint16_t encode_safe(fixed::Sample s) const = 0;
 
-  /// Reconstructs the sample; updates `counters` when provided.
+  /// Reconstructs the sample; updates `counters` when provided. Pure in
+  /// (payload, safe): one call adds 1 to `decodes` and at most 1 to each
+  /// of `corrected_words` and `detected_uncorrectable`.
   [[nodiscard]] virtual fixed::Sample decode(
       std::uint32_t payload, std::uint16_t safe,
       CodecCounters* counters = nullptr) const = 0;

@@ -3,14 +3,31 @@
 // faulty memory. A MemorySystem owns the voltage-scaled data array (sized
 // for the EMT's payload width) and, when the EMT needs one, the error-free
 // side array. ProtectedBuffer exposes a SampleBuffer-conforming window of
-// that memory: every set() runs the EMT encoder, every get() runs the
-// fault-injection path plus the EMT decoder — exactly the data path the
-// paper instruments in its extended VirtualSOC model.
+// that memory: every set() runs the EMT encoder, and every get() is one
+// device read — counted in the data and side AccessStats, CodecCounters
+// and mem.fault_patch_words exactly as the paper's extended VirtualSOC
+// model counts it.
+//
+// The host decodes each stored word once, not once per read. Faults are
+// permanent stuck-at bits and Emt::decode() is a pure function of
+// (payload, safe word), so what a read returns is fixed when the word is
+// written. The MemorySystem keeps a decoded shadow of the data array —
+// each word's sample plus whether its decode corrected or detected an
+// error and whether a fault entry patched it. store_block() fills it for
+// the words it writes; a word written by set(), or not written since the
+// last attach or scramble, is decoded on its first read, with the rest of
+// that read's window. A read copies the samples and replays the flags
+// into the counters, so only host work is skipped. attach_faults() and
+// set_scrambler() change what a read returns, so both drop the shadow.
+// The raw "none" path over a memory with no fault entries has nothing to
+// decode and keeps a plain copy of the data array.
 
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <span>
+#include <vector>
 
 #include "ulpdream/core/emt.hpp"
 #include "ulpdream/mem/memory.hpp"
@@ -32,19 +49,19 @@ class MemorySystem {
                         int banks = mem::MemoryGeometry::kBanks);
 
   [[nodiscard]] const Emt& emt() const noexcept { return *emt_; }
-  [[nodiscard]] mem::FaultyMemory& data() noexcept { return data_; }
+  /// Read-only views of the two arrays (stats, geometry). Every write goes
+  /// through store_block()/store_word(), so none can bypass the shadow.
   [[nodiscard]] const mem::FaultyMemory& data() const noexcept {
     return data_;
-  }
-  [[nodiscard]] mem::SafeMemory* safe() noexcept {
-    return safe_ ? &*safe_ : nullptr;
   }
   [[nodiscard]] const mem::SafeMemory* safe() const noexcept {
     return safe_ ? &*safe_ : nullptr;
   }
 
-  void attach_faults(const mem::FaultMap* map) { data_.attach_faults(map); }
-  void set_scrambler(std::uint64_t seed) { data_.set_scrambler(seed); }
+  /// Both drop the decoded shadow. The attached map must not be edited
+  /// while attached: attach it again after FaultMap::edit().
+  void attach_faults(const mem::FaultMap* map);
+  void set_scrambler(std::uint64_t seed);
 
   [[nodiscard]] CodecCounters& counters() noexcept { return counters_; }
   [[nodiscard]] const CodecCounters& counters() const noexcept {
@@ -62,6 +79,11 @@ class MemorySystem {
   void store_block(std::size_t addr, std::span<const fixed::Sample> src);
   /// Reads and decodes `dst.size()` words starting at `addr`.
   void load_block(std::size_t addr, std::span<fixed::Sample> dst);
+
+  /// One-word transfers (ProtectedBuffer::set/get): the same as a one-word
+  /// store_block/load_block, without the per-call codec telemetry.
+  void store_word(std::size_t addr, fixed::Sample s);
+  [[nodiscard]] fixed::Sample load_word(std::size_t addr);
 
   /// Bump allocator over the data array (word granularity). Throws
   /// std::bad_alloc when the 32 kB footprint would be exceeded — apps must
@@ -86,13 +108,34 @@ class MemorySystem {
   static CodecTelemetry make_codec_telemetry(const std::string& emt_name);
   void store_block_impl(std::size_t addr, std::span<const fixed::Sample> src);
   void load_block_impl(std::size_t addr, std::span<fixed::Sample> dst);
+  /// True when reads need no shadow: the raw "none" data path over a
+  /// memory with no fault entries, where a read is a plain copy.
+  [[nodiscard]] bool plain_path() const noexcept;
+  /// Decodes the words [addr, addr + n) as a read would see them now and
+  /// caches them in the shadow (which must already cover the range).
+  void decode_into_shadow(std::size_t addr, std::size_t n);
+  /// Marks the entries a write of [addr, addr + n) made stale (all of
+  /// them when the scrambler aliases) for decoding on their next read.
+  void drop_shadow(std::size_t addr, std::size_t n);
+  void grow_shadow(std::size_t end);
 
   const Emt* emt_;
+  bool raw_;  ///< emt_->raw_data_path(), resolved once
   mem::FaultyMemory data_;
   std::optional<mem::SafeMemory> safe_;
   CodecCounters counters_;
   CodecTelemetry telemetry_;
   std::size_t next_free_ = 0;
+  /// Decoded shadow, indexed by data-array address and grown on demand to
+  /// the highest word accessed: the sample a read returns and its
+  /// kShadow* flags (protected_buffer.cpp). A word whose kShadowValid is
+  /// clear is decoded on its next read.
+  std::vector<fixed::Sample> shadow_;
+  std::vector<std::uint8_t> shadow_flags_;
+  /// The scrambler over a word count that is not a power of two is not a
+  /// bijection (mem::FaultyMemory::set_scrambler), so two logical words
+  /// can share a physical one and every write drops the whole shadow.
+  bool scramble_aliases_ = false;
 };
 
 /// SampleBuffer view over a MemorySystem allocation.

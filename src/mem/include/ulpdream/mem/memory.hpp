@@ -52,6 +52,7 @@ class FaultyMemory {
   /// and bits_per_word >= width_bits()), otherwise std::invalid_argument is
   /// thrown and the previously attached map stays in effect.
   void attach_faults(const FaultMap* map);
+  [[nodiscard]] const FaultMap* faults() const noexcept { return faults_; }
 
   /// Enables logical->physical address scrambling with the given seed
   /// (0 disables). Scrambling randomizes which logical word lands on which
@@ -78,6 +79,19 @@ class FaultyMemory {
   void write_block(std::size_t addr, std::span<const std::uint16_t> src);
   void read_block(std::size_t addr, std::span<std::uint16_t> dst) const;
 
+  /// The two halves of read_block, for callers that keep their own copy
+  /// of what a read returns. peek_block moves the bits read_block would
+  /// return into `dst` and sets patched[i] to 1 where a fault entry
+  /// applied to word i (0 elsewhere), touching neither stats nor
+  /// telemetry. count_reads does the accounting alone: the AccessStats
+  /// (total and per bank) of reading [addr, addr + n), plus `patched`
+  /// words added to the mem.fault_patch_words counter. Both throw
+  /// std::out_of_range when the range does not fit.
+  void peek_block(std::size_t addr, std::span<std::uint32_t> dst,
+                  std::span<std::uint8_t> patched) const;
+  void count_reads(std::size_t addr, std::size_t n,
+                   std::size_t patched = 0) const;
+
   /// Bits as physically stored (after stuck-at application), for tests.
   [[nodiscard]] std::uint32_t peek_physical(std::size_t addr) const;
 
@@ -88,10 +102,17 @@ class FaultyMemory {
 
  private:
   /// Shared bodies of the 32/16-bit block overloads (memory.cpp).
+  /// gather_impl moves the fault-applied bits only and returns how many
+  /// words a fault entry patched (flagged in `patched_at` when non-null);
+  /// add_bank_counts adds the per-bank counts of the range to `counts`.
   template <typename Word>
   void write_block_impl(std::size_t addr, const Word* src, std::size_t n);
   template <typename Word>
-  void read_block_impl(std::size_t addr, Word* dst, std::size_t n) const;
+  std::size_t gather_impl(std::size_t addr, Word* dst, std::size_t n,
+                          std::uint8_t* patched_at) const;
+  void add_bank_counts(std::uint64_t* counts, std::size_t addr,
+                       std::size_t n) const;
+  void check_range(std::size_t addr, std::size_t n, const char* what) const;
 
   [[nodiscard]] std::size_t physical(std::size_t logical) const;
   [[nodiscard]] int bank_of(std::size_t phys) const noexcept {
@@ -124,11 +145,17 @@ class SafeMemory {
   /// FaultyMemory::write_block).
   void write_block(std::size_t addr, std::span<const std::uint16_t> src);
   void read_block(std::size_t addr, std::span<std::uint16_t> dst) const;
+  /// The halves of read_block, as on FaultyMemory: the stored words with
+  /// no stats, and the stats with no data.
+  void peek_block(std::size_t addr, std::span<std::uint16_t> dst) const;
+  void count_reads(std::size_t addr, std::size_t n) const;
 
   [[nodiscard]] const AccessStats& stats() const noexcept { return stats_; }
   void reset_stats();
 
  private:
+  void check_range(std::size_t addr, std::size_t n, const char* what) const;
+
   int width_;
   std::uint16_t width_mask_;
   std::vector<std::uint16_t> store_;

@@ -1,6 +1,7 @@
 #include "ulpdream/mem/memory.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <stdexcept>
 
 #include "ulpdream/util/rng.hpp"
@@ -117,12 +118,15 @@ constexpr bool is_pow2(std::uint64_t v) { return v != 0 && (v & (v - 1)) == 0; }
 // phys % banks.
 void add_contiguous_bank_counts(std::uint64_t* counts, std::size_t banks,
                                 std::uint64_t phys, std::uint64_t n) {
-  const std::uint64_t whole = n / banks;
-  std::uint64_t rem = n % banks;
+  // Masks instead of divisions for the paper's 16 banks: short windows
+  // and single words make the divisions the dominant cost here.
+  const bool pow2 = is_pow2(banks);
+  const std::uint64_t whole = pow2 ? n >> std::countr_zero(banks) : n / banks;
+  std::uint64_t rem = pow2 ? n & (banks - 1) : n % banks;
   if (whole != 0) {
     for (std::size_t b = 0; b < banks; ++b) counts[b] += whole;
   }
-  auto b = static_cast<std::size_t>(phys % banks);
+  auto b = static_cast<std::size_t>(pow2 ? phys & (banks - 1) : phys % banks);
   while (rem-- > 0) {
     ++counts[b];
     if (++b == banks) b = 0;
@@ -151,7 +155,8 @@ void add_strided_bank_counts(std::uint64_t* counts, std::size_t banks,
 // add wraps mod 2^32, which agrees with the scalar mod-2^64 wrap on every
 // bit the (<= 32-bit) word mask keeps — then a gathered word load, a
 // gathered presence-bitmap test, and scalar patch-up only for lanes whose
-// chunk actually holds faults. Returns how many words were handled; the
+// chunk actually holds faults (tallied in *patched and, when non-null,
+// flagged in patched_at). Returns how many words were handled; the
 // caller finishes the tail with the scalar walk. The 16-bit instantiation
 // packs the masked lanes down (exact: the caller guarantees the width
 // mask fits 16 bits) for the staging-free raw-sample path.
@@ -159,8 +164,8 @@ template <typename Word>
 __attribute__((target("avx2"))) std::size_t scrambled_gather_read_avx2(
     const std::uint32_t* store, std::uint64_t addr, std::uint64_t mul,
     std::uint64_t add, std::uint64_t wmask, std::uint32_t width_mask,
-    const FaultMap* faults, Word* dst, std::size_t n,
-    std::size_t* patched) {
+    const FaultMap* faults, Word* dst, std::size_t n, std::size_t* patched,
+    std::uint8_t* patched_at) {
   static_assert(FaultMap::kChunkWords == 64);
   const __m256i vmul =
       _mm256_set1_epi32(static_cast<int>(static_cast<std::uint32_t>(mul)));
@@ -203,6 +208,7 @@ __attribute__((target("avx2"))) std::size_t scrambled_gather_read_avx2(
           if (const WordFaults* f = faults->lookup(phys_buf[lane])) {
             bits_buf[lane] = f->apply(bits_buf[lane]);
             ++*patched;
+            if (patched_at != nullptr) patched_at[i + lane] = 1;
           }
         }
         bits = _mm256_load_si256(reinterpret_cast<const __m256i*>(bits_buf));
@@ -237,23 +243,59 @@ __attribute__((target("avx2"))) std::size_t scrambled_gather_read_avx2(
 // Addresses, stored bits and stats match the scalar loop exactly on every
 // path.
 
+void FaultyMemory::check_range(std::size_t addr, std::size_t n,
+                               const char* what) const {
+  if (n > store_.size() || addr > store_.size() - n) {
+    throw std::out_of_range(std::string(what) + ": range");
+  }
+}
+
+void FaultyMemory::add_bank_counts(std::uint64_t* counts, std::size_t addr,
+                                   std::size_t n) const {
+  const auto banks = static_cast<std::size_t>(banks_);
+  const bool pow2_banks = is_pow2(banks);
+  const std::uint64_t words = store_.size();
+  if (scramble_mul_ == 1 && scramble_add_ == 0) {
+    add_contiguous_bank_counts(counts, banks, addr, n);
+    return;
+  }
+  if (is_pow2(words)) {
+    const std::uint64_t wmask = words - 1;
+    const std::uint64_t step = scramble_mul_ & wmask;
+    const std::uint64_t phys0 =
+        (static_cast<std::uint64_t>(addr) * scramble_mul_ + scramble_add_) &
+        wmask;
+    if (pow2_banks && banks <= words) {
+      add_strided_bank_counts(counts, banks, phys0, step, n);
+      return;
+    }
+    std::uint64_t phys = phys0;
+    for (std::size_t j = 0; j < n; ++j) {
+      ++counts[static_cast<std::size_t>(phys % banks)];
+      phys = (phys + step) & wmask;
+    }
+    return;
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint64_t mapped =
+        static_cast<std::uint64_t>(addr + i) * scramble_mul_ + scramble_add_;
+    const auto phys = static_cast<std::size_t>(mapped % words);
+    ++counts[pow2_banks ? phys & (banks - 1) : phys % banks];
+  }
+}
+
 template <typename Word>
 void FaultyMemory::write_block_impl(std::size_t addr, const Word* src,
                                     std::size_t n) {
-  if (n > store_.size() || addr > store_.size() - n) {
-    throw std::out_of_range("FaultyMemory::write_block: range");
-  }
-  const auto banks = static_cast<std::size_t>(banks_);
-  const bool pow2_banks = is_pow2(banks);
-  std::uint64_t* const bank_writes = stats_.bank_writes.data();
+  check_range(addr, n, "FaultyMemory::write_block");
   const bool scrambled = scramble_mul_ != 1 || scramble_add_ != 0;
   const std::uint64_t words = store_.size();
   const std::uint32_t wm = width_mask_;
   stats_.writes += n;
+  add_bank_counts(stats_.bank_writes.data(), addr, n);
   if (!scrambled) {
     std::uint32_t* const out = store_.data() + addr;
     for (std::size_t i = 0; i < n; ++i) out[i] = src[i] & wm;
-    add_contiguous_bank_counts(bank_writes, banks, addr, n);
     return;
   }
   if (is_pow2(words)) {
@@ -286,23 +328,12 @@ void FaultyMemory::write_block_impl(std::size_t addr, const Word* src,
       mem[static_cast<std::size_t>(p0)] = src[i] & wm;
       p0 = (p0 + step) & wmask;
     }
-    if (pow2_banks && banks <= words) {
-      add_strided_bank_counts(bank_writes, banks, phys0, step, n);
-    } else {
-      std::uint64_t phys = phys0;
-      for (std::size_t j = 0; j < n; ++j) {
-        ++bank_writes[static_cast<std::size_t>(phys % banks)];
-        phys = (phys + step) & wmask;
-      }
-    }
     return;
   }
   for (std::size_t i = 0; i < n; ++i) {
     const std::uint64_t mapped =
         static_cast<std::uint64_t>(addr + i) * scramble_mul_ + scramble_add_;
-    const auto phys = static_cast<std::size_t>(mapped % words);
-    store_[phys] = src[i] & wm;
-    ++bank_writes[pow2_banks ? phys & (banks - 1) : phys % banks];
+    store_[static_cast<std::size_t>(mapped % words)] = src[i] & wm;
   }
 }
 
@@ -317,54 +348,48 @@ void FaultyMemory::write_block(std::size_t addr,
 }
 
 template <typename Word>
-void FaultyMemory::read_block_impl(std::size_t addr, Word* dst,
-                                   std::size_t n) const {
-  if (n > store_.size() || addr > store_.size() - n) {
-    throw std::out_of_range("FaultyMemory::read_block: range");
-  }
-  const auto banks = static_cast<std::size_t>(banks_);
-  const bool pow2_banks = is_pow2(banks);
-  std::uint64_t* const bank_reads = stats_.bank_reads.data();
+std::size_t FaultyMemory::gather_impl(std::size_t addr, Word* dst,
+                                      std::size_t n,
+                                      std::uint8_t* patched_at) const {
   const FaultMap* const faults = faults_;
   const bool scrambled = scramble_mul_ != 1 || scramble_add_ != 0;
   const std::uint64_t words = store_.size();
   const std::uint32_t wm = width_mask_;
-  // Tallied locally in the loops, flushed to telemetry once per call.
   std::size_t patched = 0;
-  stats_.reads += n;
+  // Applies physical word `phys`'s fault entry, if any, to word i's bits.
+  const auto patch = [&](std::uint32_t bits, std::size_t phys,
+                         std::size_t i) {
+    if (const WordFaults* f = faults->lookup(phys)) {
+      bits = f->apply(bits);
+      ++patched;
+      if (patched_at != nullptr) patched_at[i] = 1;
+    }
+    return bits;
+  };
   if (!scrambled) {
     const std::uint32_t* const src = store_.data() + addr;
-    Word* const out = dst;
     if (faults == nullptr || faults->entry_count() == 0) {
       for (std::size_t i = 0; i < n; ++i) {
-        out[i] = static_cast<Word>(src[i] & wm);
+        dst[i] = static_cast<Word>(src[i] & wm);
       }
-    } else {
-      // Walk chunk by chunk: one presence bit decides between a wide copy
-      // and the per-word lookup loop.
-      std::size_t i = 0;
-      while (i < n) {
-        const std::size_t phys = addr + i;
-        const std::size_t chunk = phys / FaultMap::kChunkWords;
-        const std::size_t run_end = std::min<std::size_t>(
-            n, (chunk + 1) * FaultMap::kChunkWords - addr);
-        if (faults->chunk_clean(chunk)) {
-          for (; i < run_end; ++i) out[i] = static_cast<Word>(src[i] & wm);
-        } else {
-          for (; i < run_end; ++i) {
-            std::uint32_t bits = src[i];
-            if (const WordFaults* f = faults->lookup(addr + i)) {
-              bits = f->apply(bits);
-              ++patched;
-            }
-            out[i] = static_cast<Word>(bits & wm);
-          }
+      return 0;
+    }
+    // Walk chunk by chunk: one presence bit decides between a wide copy
+    // and the per-word lookup loop.
+    std::size_t i = 0;
+    while (i < n) {
+      const std::size_t chunk = (addr + i) / FaultMap::kChunkWords;
+      const std::size_t run_end = std::min<std::size_t>(
+          n, (chunk + 1) * FaultMap::kChunkWords - addr);
+      if (faults->chunk_clean(chunk)) {
+        for (; i < run_end; ++i) dst[i] = static_cast<Word>(src[i] & wm);
+      } else {
+        for (; i < run_end; ++i) {
+          dst[i] = static_cast<Word>(patch(src[i], addr + i, i) & wm);
         }
       }
     }
-    add_contiguous_bank_counts(bank_reads, banks, addr, n);
-    if (patched != 0) fault_patch_counter().add(patched);
-    return;
+    return patched;
   }
   if (is_pow2(words)) {
     const std::uint64_t wmask = words - 1;
@@ -378,54 +403,36 @@ void FaultyMemory::read_block_impl(std::size_t addr, Word* dst,
         wmask <= 0xFFFFFFFFu) {
       i = scrambled_gather_read_avx2(store_.data(), addr, scramble_mul_,
                                      scramble_add_, wmask, wm, faults, dst,
-                                     n, &patched);
+                                     n, &patched, patched_at);
     }
 #endif
     std::uint64_t phys = (phys0 + i * step) & wmask;
     for (; i < n; ++i) {
       std::uint32_t bits = store_[static_cast<std::size_t>(phys)];
       if (faults != nullptr) {
-        if (const WordFaults* f =
-                faults->lookup(static_cast<std::size_t>(phys))) {
-          bits = f->apply(bits);
-          ++patched;
-        }
+        bits = patch(bits, static_cast<std::size_t>(phys), i);
       }
       dst[i] = static_cast<Word>(bits & wm);
       phys = (phys + step) & wmask;
     }
-    if (pow2_banks && banks <= words) {
-      add_strided_bank_counts(bank_reads, banks, phys0, step, n);
-    } else {
-      phys = phys0;
-      for (std::size_t j = 0; j < n; ++j) {
-        ++bank_reads[static_cast<std::size_t>(phys % banks)];
-        phys = (phys + step) & wmask;
-      }
-    }
-    if (patched != 0) fault_patch_counter().add(patched);
-    return;
+    return patched;
   }
   for (std::size_t i = 0; i < n; ++i) {
     const std::uint64_t mapped =
         static_cast<std::uint64_t>(addr + i) * scramble_mul_ + scramble_add_;
     const auto phys = static_cast<std::size_t>(mapped % words);
     std::uint32_t bits = store_[phys];
-    if (faults != nullptr) {
-      if (const WordFaults* f = faults->lookup(phys)) {
-        bits = f->apply(bits);
-        ++patched;
-      }
-    }
+    if (faults != nullptr) bits = patch(bits, phys, i);
     dst[i] = static_cast<Word>(bits & wm);
-    ++bank_reads[pow2_banks ? phys & (banks - 1) : phys % banks];
   }
-  if (patched != 0) fault_patch_counter().add(patched);
+  return patched;
 }
 
 void FaultyMemory::read_block(std::size_t addr,
                               std::span<std::uint32_t> dst) const {
-  read_block_impl(addr, dst.data(), dst.size());
+  check_range(addr, dst.size(), "FaultyMemory::read_block");
+  count_reads(addr, dst.size(),
+              gather_impl(addr, dst.data(), dst.size(), nullptr));
 }
 
 void FaultyMemory::read_block(std::size_t addr,
@@ -435,7 +442,27 @@ void FaultyMemory::read_block(std::size_t addr,
         "FaultyMemory::read_block: 16-bit destination for a " +
         std::to_string(width_) + "-bit word");
   }
-  read_block_impl(addr, dst.data(), dst.size());
+  check_range(addr, dst.size(), "FaultyMemory::read_block");
+  count_reads(addr, dst.size(),
+              gather_impl(addr, dst.data(), dst.size(), nullptr));
+}
+
+void FaultyMemory::peek_block(std::size_t addr, std::span<std::uint32_t> dst,
+                              std::span<std::uint8_t> patched) const {
+  if (patched.size() != dst.size()) {
+    throw std::invalid_argument("FaultyMemory::peek_block: span lengths");
+  }
+  check_range(addr, dst.size(), "FaultyMemory::peek_block");
+  std::fill(patched.begin(), patched.end(), std::uint8_t{0});
+  (void)gather_impl(addr, dst.data(), dst.size(), patched.data());
+}
+
+void FaultyMemory::count_reads(std::size_t addr, std::size_t n,
+                               std::size_t patched) const {
+  check_range(addr, n, "FaultyMemory::count_reads");
+  stats_.reads += n;
+  add_bank_counts(stats_.bank_reads.data(), addr, n);
+  if (patched != 0) fault_patch_counter().add(patched);
 }
 
 std::uint32_t FaultyMemory::peek_physical(std::size_t addr) const {
@@ -464,6 +491,13 @@ SafeMemory::SafeMemory(std::size_t words, int width_bits)
   stats_.reset(1);
 }
 
+void SafeMemory::check_range(std::size_t addr, std::size_t n,
+                             const char* what) const {
+  if (n > store_.size() || addr > store_.size() - n) {
+    throw std::out_of_range(std::string(what) + ": range");
+  }
+}
+
 void SafeMemory::write(std::size_t addr, std::uint16_t bits) {
   store_.at(addr) = bits & width_mask_;
   ++stats_.writes;
@@ -479,9 +513,7 @@ std::uint16_t SafeMemory::read(std::size_t addr) const {
 void SafeMemory::write_block(std::size_t addr,
                              std::span<const std::uint16_t> src) {
   const std::size_t n = src.size();
-  if (n > store_.size() || addr > store_.size() - n) {
-    throw std::out_of_range("SafeMemory::write_block: range");
-  }
+  check_range(addr, n, "SafeMemory::write_block");
   for (std::size_t i = 0; i < n; ++i) store_[addr + i] = src[i] & width_mask_;
   stats_.writes += n;
   stats_.bank_writes[0] += n;
@@ -489,11 +521,20 @@ void SafeMemory::write_block(std::size_t addr,
 
 void SafeMemory::read_block(std::size_t addr,
                             std::span<std::uint16_t> dst) const {
-  const std::size_t n = dst.size();
-  if (n > store_.size() || addr > store_.size() - n) {
-    throw std::out_of_range("SafeMemory::read_block: range");
-  }
-  for (std::size_t i = 0; i < n; ++i) dst[i] = store_[addr + i];
+  check_range(addr, dst.size(), "SafeMemory::read_block");
+  peek_block(addr, dst);
+  count_reads(addr, dst.size());
+}
+
+void SafeMemory::peek_block(std::size_t addr,
+                            std::span<std::uint16_t> dst) const {
+  check_range(addr, dst.size(), "SafeMemory::peek_block");
+  std::copy_n(store_.begin() + static_cast<std::ptrdiff_t>(addr), dst.size(),
+              dst.begin());
+}
+
+void SafeMemory::count_reads(std::size_t addr, std::size_t n) const {
+  check_range(addr, n, "SafeMemory::count_reads");
   stats_.reads += n;
   stats_.bank_reads[0] += n;
 }

@@ -4,12 +4,18 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <string>
+#include <vector>
+
 #include "ulpdream/core/dream.hpp"
 #include "ulpdream/core/dream_secded.hpp"
 #include "ulpdream/core/ecc_secded.hpp"
 #include "ulpdream/core/factory.hpp"
 #include "ulpdream/core/protected_buffer.hpp"
+#include "ulpdream/mem/ber_model.hpp"
 #include "ulpdream/util/rng.hpp"
+#include "ulpdream/util/telemetry.hpp"
 
 namespace ulpdream::core {
 namespace {
@@ -150,6 +156,149 @@ TEST(Torture, EmtTransparencyOnFaultFreeMemoryExhaustive) {
       }
     }
   }
+}
+
+/// Reference for the decoded shadow: the word data path without one,
+/// where every read patches faults and decodes again.
+struct WordLoopReference {
+  WordLoopReference(const Emt& e, std::size_t words, int banks)
+      : emt(e), data(words, e.payload_bits(), banks) {
+    if (e.safe_bits() > 0) safe.emplace(words, e.safe_bits());
+  }
+
+  void write(std::size_t addr, fixed::Sample s) {
+    data.write(addr, emt.encode_payload(s));
+    if (safe) safe->write(addr, emt.encode_safe(s));
+  }
+  fixed::Sample read(std::size_t addr) {
+    const std::uint32_t payload = data.read(addr);
+    const std::uint16_t safe_word = safe ? safe->read(addr) : 0;
+    return emt.decode(payload, safe_word, &counters);
+  }
+
+  const Emt& emt;
+  mem::FaultyMemory data;
+  std::optional<mem::SafeMemory> safe;
+  CodecCounters counters;
+};
+
+std::uint64_t fault_patch_words() {
+  return util::telemetry::snapshot().counters["mem.fault_patch_words"];
+}
+
+void expect_same_accounting(const WordLoopReference& ref,
+                            const MemorySystem& sys) {
+  EXPECT_EQ(ref.counters.decodes, sys.counters().decodes);
+  EXPECT_EQ(ref.counters.corrected_words, sys.counters().corrected_words);
+  EXPECT_EQ(ref.counters.detected_uncorrectable,
+            sys.counters().detected_uncorrectable);
+  EXPECT_EQ(ref.data.stats().reads, sys.data().stats().reads);
+  EXPECT_EQ(ref.data.stats().writes, sys.data().stats().writes);
+  EXPECT_EQ(ref.data.stats().bank_reads, sys.data().stats().bank_reads);
+  EXPECT_EQ(ref.data.stats().bank_writes, sys.data().stats().bank_writes);
+  ASSERT_EQ(ref.safe.has_value(), sys.safe() != nullptr);
+  if (ref.safe) {
+    EXPECT_EQ(ref.safe->stats().reads, sys.safe()->stats().reads);
+    EXPECT_EQ(ref.safe->stats().writes, sys.safe()->stats().writes);
+    EXPECT_EQ(ref.safe->stats().bank_reads, sys.safe()->stats().bank_reads);
+  }
+}
+
+TEST(Torture, DecodedShadowMatchesWordLoopReference) {
+  // Interleaved block and word writes and reads on random windows of
+  // 1-300 words, with fault maps re-attached and the scrambler switched
+  // on and off between them, for every EMT. After each step the
+  // MemorySystem must agree with the word-loop reference on the samples
+  // read, CodecCounters, both arrays' AccessStats (per bank too) and how
+  // many words a fault entry patched. Two geometries: the power-of-two
+  // banked one the apps use and an odd one that takes the modulo paths.
+  struct Geometry {
+    std::size_t words;
+    int banks;
+  };
+  util::Xoshiro256 rng(17);
+  std::uint64_t total_patched = 0;
+  std::uint64_t total_corrected = 0;
+  ASSERT_EQ(emt_names().size(), 4u);
+  for (const Geometry geo : {Geometry{1024, 16}, Geometry{1000, 3}}) {
+    std::vector<mem::FaultMap> maps;
+    for (const double v : {0.5, 0.6, 0.75}) {
+      maps.push_back(mem::FaultMap::random(
+          geo.words, 22, mem::LogLinearBerModel().ber(v), rng));
+    }
+    maps.emplace_back(geo.words, 22);  // no entries: raw "none" plain copy
+    for (const std::string& name : emt_names()) {
+      SCOPED_TRACE(name + " words=" + std::to_string(geo.words));
+      const auto emt = make_emt(name);
+      MemorySystem sys(*emt, geo.words, geo.banks);
+      WordLoopReference ref(*emt, geo.words, geo.banks);
+      ProtectedBuffer buf(sys, 0, geo.words);
+      std::vector<fixed::Sample> got(300);
+      std::vector<fixed::Sample> want(300);
+      for (int step = 0; step < 600; ++step) {
+        const std::uint64_t op = rng.bounded(20);
+        if (op == 0) {
+          const std::uint64_t pick = rng.bounded(maps.size() + 1);
+          const mem::FaultMap* map =
+              pick == maps.size() ? nullptr : &maps[pick];
+          sys.attach_faults(map);
+          ref.data.attach_faults(map);
+          continue;
+        }
+        if (op == 1) {
+          const std::uint64_t seed = rng.bounded(2) == 0 ? 0 : rng();
+          sys.set_scrambler(seed);
+          ref.data.set_scrambler(seed);
+          continue;
+        }
+        if (op == 2) {
+          total_corrected += ref.counters.corrected_words;
+          sys.reset_stats();
+          ref.data.reset_stats();
+          if (ref.safe) ref.safe->reset_stats();
+          ref.counters.reset();
+          continue;
+        }
+        const std::size_t n = 1 + rng.bounded(300);
+        const std::size_t addr = rng.bounded(geo.words - n + 1);
+        const std::uint64_t before = fault_patch_words();
+        std::uint64_t ref_patched = 0;
+        if (op < 8) {  // write: a block, or a word at a time through set()
+          std::vector<fixed::Sample> src(n);
+          for (auto& s : src) s = random_sample(rng);
+          for (std::size_t i = 0; i < n; ++i) ref.write(addr + i, src[i]);
+          ref_patched = fault_patch_words() - before;
+          if (op < 5) {
+            sys.store_block(addr, src);
+          } else {
+            for (std::size_t i = 0; i < n; ++i) buf.set(addr + i, src[i]);
+          }
+        } else {  // read: a block, or a word at a time through get()
+          for (std::size_t i = 0; i < n; ++i) want[i] = ref.read(addr + i);
+          ref_patched = fault_patch_words() - before;
+          if (op < 14) {
+            sys.load_block(addr, std::span<fixed::Sample>(got.data(), n));
+          } else {
+            for (std::size_t i = 0; i < n; ++i) got[i] = buf.get(addr + i);
+          }
+          for (std::size_t i = 0; i < n; ++i) {
+            ASSERT_EQ(want[i], got[i]) << "step " << step << " addr "
+                                       << addr + i;
+          }
+        }
+        ASSERT_EQ(fault_patch_words() - before - ref_patched, ref_patched)
+            << "step " << step;
+        total_patched += ref_patched;
+        expect_same_accounting(ref, sys);
+        if (HasFailure()) FAIL() << "diverged at step " << step;
+      }
+      total_corrected += ref.counters.corrected_words;
+    }
+  }
+  // The comparison covered fault patches and corrections, not only
+  // clean words.
+  EXPECT_GT(total_patched, 0u);
+  EXPECT_GT(total_corrected, 0u);
 }
 
 class TortureBerSweep : public ::testing::TestWithParam<double> {};
