@@ -15,9 +15,9 @@
 //    that the word and window paths are bit-identical (decoded words,
 //    CodecCounters, AccessStats) and that every shape and mode reads back
 //    the same checksum, and emits machine-readable JSON (stdout, or
-//    --json FILE with a human summary on stdout). --scramble turns the
-//    address scrambler on (the apps run without it). CI runs this as the
-//    perf-trajectory smoke step.
+//    --json FILE with a human summary on stdout). The address scrambler
+//    is on, so the scrambled gather and scatter paths are the ones timed
+//    and checked. CI runs this as the perf-trajectory smoke step.
 //
 //    Example: micro_codec --datapath --volt 0.8 --json BENCH_datapath.json
 
@@ -115,10 +115,10 @@ bool stats_equal(const mem::AccessStats& a, const mem::AccessStats& b) {
 }
 
 core::MemorySystem make_system(const core::Emt& emt, const mem::FaultMap& map,
-                               std::size_t words, bool scramble) {
+                               std::size_t words) {
   core::MemorySystem system(emt, words);
   system.attach_faults(&map);
-  if (scramble) system.set_scrambler(kScramblerSeed);
+  system.set_scrambler(kScramblerSeed);
   return system;
 }
 
@@ -126,11 +126,11 @@ core::MemorySystem make_system(const core::Emt& emt, const mem::FaultMap& map,
 /// identical systems must produce the same decoded words, codec counters
 /// and access stats.
 bool paths_identical(const core::Emt& emt, const mem::FaultMap& map,
-                     const fixed::SampleVec& src, bool scramble) {
+                     const fixed::SampleVec& src) {
   fixed::SampleVec scalar_out(src.size());
   fixed::SampleVec block_out(src.size());
-  core::MemorySystem scalar = make_system(emt, map, src.size(), scramble);
-  core::MemorySystem block = make_system(emt, map, src.size(), scramble);
+  core::MemorySystem scalar = make_system(emt, map, src.size());
+  core::MemorySystem block = make_system(emt, map, src.size());
   auto scalar_buf = core::ProtectedBuffer::allocate(scalar, src.size());
   auto block_buf = core::ProtectedBuffer::allocate(block, src.size());
   for (std::size_t i = 0; i < src.size(); ++i) scalar_buf.set(i, src[i]);
@@ -202,7 +202,7 @@ void write_telemetry_block(std::ostream& os,
 }
 
 void write_json(std::ostream& os, double volt, double ber, std::size_t words,
-                bool scramble, const std::vector<DatapathRow>& rows) {
+                const std::vector<DatapathRow>& rows) {
   os << "{\n";
   os << "  \"benchmark\": \"datapath\",\n";
   os << "  \"geometry\": {\"words\": " << words
@@ -210,7 +210,6 @@ void write_json(std::ostream& os, double volt, double ber, std::size_t words,
      << ", \"bytes\": " << mem::MemoryGeometry::kBytes << "},\n";
   os << "  \"voltage_v\": " << volt << ",\n";
   os << "  \"ber\": " << ber << ",\n";
-  os << "  \"scrambled\": " << (scramble ? "true" : "false") << ",\n";
   os << "  \"simd_tier\": \""
      << util::simd::tier_name(util::simd::active_tier()) << "\",\n";
   write_telemetry_block(os, util::telemetry::snapshot());
@@ -240,7 +239,6 @@ int run_datapath(const util::Cli& cli) {
   util::telemetry::reset_metrics();
   const double volt = cli.get_double("volt", 0.8);
   const double min_seconds = cli.get_double("min-time", 0.1);
-  const bool scramble = cli.has("scramble");
   const std::size_t words = static_cast<std::size_t>(
       cli.get_int("words", static_cast<std::int64_t>(
                                mem::MemoryGeometry::kWords16)));
@@ -266,9 +264,9 @@ int run_datapath(const util::Cli& cli) {
     const auto emt = core::make_emt(name);
     DatapathRow row;
     row.emt = emt->name();
-    row.identical = paths_identical(*emt, map, src, scramble);
+    row.identical = paths_identical(*emt, map, src);
 
-    core::MemorySystem system = make_system(*emt, map, words, scramble);
+    core::MemorySystem system = make_system(*emt, map, words);
     auto buf = core::ProtectedBuffer::allocate(system, words);
     fixed::SampleVec dst(words);
     buf.load(0, std::span<const fixed::Sample>(src.data(), words));
@@ -304,14 +302,14 @@ int run_datapath(const util::Cli& cli) {
 
   const std::string json_path = cli.get("json", "");
   if (json_path.empty()) {
-    write_json(std::cout, volt, ber, words, scramble, rows);
+    write_json(std::cout, volt, ber, words, rows);
   } else {
     std::ofstream os(json_path);
     if (!os) {
       std::fprintf(stderr, "cannot open %s\n", json_path.c_str());
       return 1;
     }
-    write_json(os, volt, ber, words, scramble, rows);
+    write_json(os, volt, ber, words, rows);
     std::printf("wrote %s\n", json_path.c_str());
   }
   if (!all_identical) {

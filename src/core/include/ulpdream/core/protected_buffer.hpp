@@ -99,7 +99,9 @@ class MemorySystem {
   /// construction so the block path pays only relaxed fetch_adds. The
   /// *_block_ns latency histograms additionally gate on
   /// telemetry::hot_timing_enabled() — clock reads are not free at
-  /// ~1270 Macc/s.
+  /// ~1270 Macc/s. They time whole calls: encode_block_ns a store_block,
+  /// including its decode into the shadow; decode_block_ns a load_block,
+  /// a copy plus the decode of words not decoded since their write.
   struct CodecTelemetry {
     util::telemetry::Counter encode_calls, encode_words;
     util::telemetry::Counter decode_calls, decode_words;
@@ -114,9 +116,9 @@ class MemorySystem {
   /// Decodes the words [addr, addr + n) as a read would see them now and
   /// caches them in the shadow (which must already cover the range).
   void decode_into_shadow(std::size_t addr, std::size_t n);
-  /// Marks the entries a write of [addr, addr + n) made stale (all of
-  /// them when the scrambler aliases) for decoding on their next read.
-  void drop_shadow(std::size_t addr, std::size_t n);
+  /// Marks every entry for decoding on its next read: with an aliasing
+  /// scrambler, a write may change what other logical words read.
+  void drop_shadow();
   void grow_shadow(std::size_t end);
 
   const Emt* emt_;

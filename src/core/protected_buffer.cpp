@@ -194,19 +194,13 @@ void MemorySystem::store_block_impl(std::size_t addr,
     }
   }
   if (plain_path()) return;
-  drop_shadow(first, n);
+  if (scramble_aliases_) drop_shadow();
   grow_shadow(first + n);
   decode_into_shadow(first, n);
 }
 
-void MemorySystem::drop_shadow(std::size_t addr, std::size_t n) {
-  if (scramble_aliases_) {
-    // The write may have changed what other logical words read.
-    std::fill(shadow_flags_.begin(), shadow_flags_.end(), std::uint8_t{0});
-  } else if (addr < shadow_flags_.size()) {
-    std::fill_n(shadow_flags_.begin() + static_cast<std::ptrdiff_t>(addr),
-                std::min(n, shadow_flags_.size() - addr), std::uint8_t{0});
-  }
+void MemorySystem::drop_shadow() {
+  std::fill(shadow_flags_.begin(), shadow_flags_.end(), std::uint8_t{0});
 }
 
 void MemorySystem::grow_shadow(std::size_t end) {
@@ -273,7 +267,11 @@ void MemorySystem::store_word(std::size_t addr, fixed::Sample s) {
   // Decoded on its first read, together with the rest of that read's
   // window: the apps write single words in runs (a matrix column, a CS
   // measurement block) that they read back as one window.
-  drop_shadow(addr, 1);
+  if (scramble_aliases_) {
+    drop_shadow();
+  } else if (addr < shadow_flags_.size()) {
+    shadow_flags_[addr] = 0;
+  }
 }
 
 fixed::Sample MemorySystem::load_word(std::size_t addr) {

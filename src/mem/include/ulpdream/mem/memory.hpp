@@ -104,7 +104,8 @@ class FaultyMemory {
   /// Shared bodies of the 32/16-bit block overloads (memory.cpp).
   /// gather_impl moves the fault-applied bits only and returns how many
   /// words a fault entry patched (flagged in `patched_at` when non-null);
-  /// add_bank_counts adds the per-bank counts of the range to `counts`.
+  /// add_bank_counts adds the per-bank counts of the range to `counts`;
+  /// add_read_stats is count_reads without the range check.
   template <typename Word>
   void write_block_impl(std::size_t addr, const Word* src, std::size_t n);
   template <typename Word>
@@ -112,6 +113,8 @@ class FaultyMemory {
                           std::uint8_t* patched_at) const;
   void add_bank_counts(std::uint64_t* counts, std::size_t addr,
                        std::size_t n) const;
+  void add_read_stats(std::size_t addr, std::size_t n,
+                      std::size_t patched) const;
   void check_range(std::size_t addr, std::size_t n, const char* what) const;
 
   [[nodiscard]] std::size_t physical(std::size_t logical) const;

@@ -431,8 +431,8 @@ std::size_t FaultyMemory::gather_impl(std::size_t addr, Word* dst,
 void FaultyMemory::read_block(std::size_t addr,
                               std::span<std::uint32_t> dst) const {
   check_range(addr, dst.size(), "FaultyMemory::read_block");
-  count_reads(addr, dst.size(),
-              gather_impl(addr, dst.data(), dst.size(), nullptr));
+  add_read_stats(addr, dst.size(),
+                 gather_impl(addr, dst.data(), dst.size(), nullptr));
 }
 
 void FaultyMemory::read_block(std::size_t addr,
@@ -443,8 +443,8 @@ void FaultyMemory::read_block(std::size_t addr,
         std::to_string(width_) + "-bit word");
   }
   check_range(addr, dst.size(), "FaultyMemory::read_block");
-  count_reads(addr, dst.size(),
-              gather_impl(addr, dst.data(), dst.size(), nullptr));
+  add_read_stats(addr, dst.size(),
+                 gather_impl(addr, dst.data(), dst.size(), nullptr));
 }
 
 void FaultyMemory::peek_block(std::size_t addr, std::span<std::uint32_t> dst,
@@ -460,6 +460,11 @@ void FaultyMemory::peek_block(std::size_t addr, std::span<std::uint32_t> dst,
 void FaultyMemory::count_reads(std::size_t addr, std::size_t n,
                                std::size_t patched) const {
   check_range(addr, n, "FaultyMemory::count_reads");
+  add_read_stats(addr, n, patched);
+}
+
+void FaultyMemory::add_read_stats(std::size_t addr, std::size_t n,
+                                  std::size_t patched) const {
   stats_.reads += n;
   add_bank_counts(stats_.bank_reads.data(), addr, n);
   if (patched != 0) fault_patch_counter().add(patched);
@@ -521,9 +526,9 @@ void SafeMemory::write_block(std::size_t addr,
 
 void SafeMemory::read_block(std::size_t addr,
                             std::span<std::uint16_t> dst) const {
-  check_range(addr, dst.size(), "SafeMemory::read_block");
-  peek_block(addr, dst);
-  count_reads(addr, dst.size());
+  peek_block(addr, dst);  // checks the range
+  stats_.reads += dst.size();
+  stats_.bank_reads[0] += dst.size();
 }
 
 void SafeMemory::peek_block(std::size_t addr,
